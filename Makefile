@@ -1,7 +1,7 @@
 GO ?= go
 VET := bin/desword-vet
 
-.PHONY: all check build test vet fmt race bench bench-smoke telemetry-smoke events-smoke store-smoke saturation-smoke lint analyzers tidy fuzz-short
+.PHONY: all check build test vet fmt race bench bench-smoke benchmark-smoke telemetry-smoke events-smoke store-smoke saturation-smoke lint analyzers tidy fuzz-short
 
 all: check
 
@@ -26,7 +26,7 @@ fmt:
 	fi
 
 race:
-	$(GO) test -race ./internal/obs ./internal/node ./internal/core ./internal/trace ./internal/wire ./internal/zkedb ./internal/zkedb/store ./internal/poc ./internal/telemetry ./internal/events ./internal/reputation
+	$(GO) test -race ./internal/obs ./internal/node ./internal/core ./internal/trace ./internal/wire ./internal/zkedb ./internal/zkedb/store ./internal/poc ./internal/telemetry ./internal/events ./internal/reputation ./internal/rsavc ./internal/qmercurial
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -43,6 +43,13 @@ bench-smoke:
 		echo "bench-smoke: expected desword_proofcache_hits >= 1, got '$$hits'"; exit 1; \
 	fi; \
 	echo "bench-smoke: desword_proofcache_hits = $$hits"
+
+# benchmark-smoke runs the benchmark module's own tests (benchmark/README.md):
+# the metric catalogue check and a short run of every workload, about a
+# minute. The benchmark judges every performance change, so a change to the
+# packages it deploys must not break it unnoticed.
+benchmark-smoke:
+	cd benchmark && $(GO) test .
 
 # telemetry-smoke runs the fleet-telemetry pipeline end to end over real TCP
 # (see TestTelemetrySmoke): traced queries against a served chain, registry
@@ -77,14 +84,16 @@ saturation-smoke:
 
 # lint is the correctness gate beyond tier-1: the project analyzers
 # (desword-vet, see DESIGN.md §9) run through go vet's unitchecker driver
-# so results cache per package, plus formatting, module tidiness, and the
-# analyzer suite's own golden tests. Checkers that live outside the repo
+# so results cache per package, over the root module, the analyzer suite and
+# the benchmark module, plus formatting, module tidiness, and the analyzer
+# suite's own golden tests. Checkers that live outside the repo
 # (govulncheck, x/tools nilness) run only when the host has them
 # installed — the build image has no module proxy access, so they are
 # advisory extras rather than gates.
 lint: analyzers fmt tidy
 	$(GO) vet -vettool=$(abspath $(VET)) ./...
 	cd tools/analyzers && $(GO) vet -vettool=$(abspath $(VET)) ./...
+	cd benchmark && $(GO) vet -vettool=$(abspath $(VET)) ./...
 	cd tools/analyzers && $(GO) test ./...
 	@if command -v govulncheck >/dev/null 2>&1; then \
 		govulncheck ./...; \
@@ -101,10 +110,11 @@ lint: analyzers fmt tidy
 analyzers:
 	cd tools/analyzers && $(GO) build -o $(abspath $(VET)) ./cmd/desword-vet
 
-# tidy fails if go mod tidy would change either module.
+# tidy fails if go mod tidy would change any of the three modules.
 tidy:
 	$(GO) mod tidy -diff
 	cd tools/analyzers && $(GO) mod tidy -diff
+	cd benchmark && $(GO) mod tidy -diff
 
 # fuzz-short exercises every wire/envelope fuzz target briefly; CI runs it
 # so decoder regressions surface without waiting for a long fuzz campaign.

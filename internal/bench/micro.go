@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/big"
 
@@ -50,12 +51,15 @@ func RunTMCMicro(reps int) *Table {
 	return t
 }
 
-// qtmcVector builds a q-length message vector for benching.
+// qtmcVector builds a q-length message vector for benching: hash-derived
+// messages as wide as the message space, like the slot hashes zkedb commits,
+// so every g_i^m a verification raises walks a full-width exponent.
 func qtmcVector(pk *qmercurial.PublicKey) []*big.Int {
 	ms := make([]*big.Int, pk.Q())
 	max := pk.VC.MaxMessage()
 	for i := range ms {
-		v := big.NewInt(int64(i)*7919 + 13)
+		sum := sha256.Sum256([]byte(fmt.Sprintf("bench/qtmc/%d", i)))
+		v := new(big.Int).SetBytes(sum[:])
 		ms[i] = v.Mod(v, max)
 	}
 	return ms
@@ -130,13 +134,13 @@ func RunFig4b(qs []int, messageBits, modulusBits, reps int) (*Table, error) {
 			return nil, err
 		}
 		scomC, sdec := pk.SCom()
-		sop, err := pk.SOpenSoft(sdec, 1, big.NewInt(42))
+		sop, err := pk.SOpenSoft(sdec, 1, ms[1])
 		if err != nil {
 			return nil, err
 		}
 		scom := Measure(reps, func() { pk.SCom() })
 		sopen := Measure(reps, func() {
-			if _, err := pk.SOpenSoft(sdec, 1, big.NewInt(42)); err != nil {
+			if _, err := pk.SOpenSoft(sdec, 1, ms[1]); err != nil {
 				panic(err)
 			}
 		})

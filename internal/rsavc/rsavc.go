@@ -19,6 +19,11 @@
 // Commit and Witness cost Θ(q) (the exponent grows linearly with q), while
 // Verify is independent of q — exactly the asymmetry the paper measures in
 // Fig. 4 and Fig. 5.
+//
+// The bases g and g_i are fixed by the key, so Params carries fixed-base
+// exponentiation tables for them (fixedbase.go), derived on Setup and
+// Rehydrate and never serialized; the outputs are exactly those of
+// big.Int.Exp.
 package rsavc
 
 import (
@@ -43,19 +48,21 @@ var (
 	ErrMessageOutOfRange  = errors.New("rsavc: message outside [0, 2^MessageBits)")
 	ErrPositionOutOfRange = errors.New("rsavc: position outside [0, q)")
 	ErrVectorLength       = errors.New("rsavc: vector length differs from q")
+	ErrNegativeHiding     = errors.New("rsavc: hiding randomness is negative")
 )
 
 // Params is the public commitment key. It is immutable after Setup and safe
 // for concurrent use.
 type Params struct {
-	N           *big.Int   // RSA modulus with unknown factorization
-	G           *big.Int   // base in QR_N
-	Q           int        // vector length
-	MessageBits int        // messages lie in [0, 2^MessageBits)
-	Primes      []*big.Int // q distinct primes > 2^MessageBits
-	prodPrimes  *big.Int   // P = ∏ primes
-	prodDiv     []*big.Int // P / e_i
-	bases       []*big.Int // g_i = g^{P/e_i} mod N
+	N           *big.Int     // RSA modulus with unknown factorization
+	G           *big.Int     // base in QR_N
+	Q           int          // vector length
+	MessageBits int          // messages lie in [0, 2^MessageBits)
+	Primes      []*big.Int   // q distinct primes > 2^MessageBits
+	prodPrimes  *big.Int     // P = ∏ primes
+	prodDiv     []*big.Int   // P / e_i
+	g           *fixedBase   // powers of g, for exponents below 2^(|P|+hidingBits+1)
+	slots       []*fixedBase // powers of g_i = g^{P/e_i}, for messages
 }
 
 // Witness is the constant-size opening for one vector slot.
@@ -125,18 +132,23 @@ func nextPrime(start *big.Int) *big.Int {
 	return candidate
 }
 
-// finalize derives the cached products and bases from N, G and Primes. It is
-// also invoked after deserializing parameters from the wire.
+// finalize derives the cached products and the fixed-base tables from N, G
+// and Primes. It is also invoked after deserializing parameters from the
+// wire. The g table covers every exponent Commit, Open and Fabricate raise g
+// to: Commit's r·P + Σ m_j·P/e_j stays below 2^(|P|+hidingBits+1) for
+// r < 2^hidingBits, and each slot base g^{P/e_i} comes from it too.
 func (p *Params) finalize() {
 	p.prodPrimes = big.NewInt(1)
 	for _, e := range p.Primes {
 		p.prodPrimes.Mul(p.prodPrimes, e)
 	}
+	m := newMontgomery(p.N)
+	p.g = newFixedBase(m, m.toMont(p.G), gWindowBits, p.prodPrimes.BitLen()+hidingBits+1)
 	p.prodDiv = make([]*big.Int, p.Q)
-	p.bases = make([]*big.Int, p.Q)
+	p.slots = make([]*fixedBase, p.Q)
 	for i, e := range p.Primes {
 		p.prodDiv[i] = new(big.Int).Quo(p.prodPrimes, e)
-		p.bases[i] = new(big.Int).Exp(p.G, p.prodDiv[i], p.N)
+		p.slots[i] = newFixedBase(m, p.g.powMont(p.prodDiv[i]), slotWindowBits, p.MessageBits)
 	}
 }
 
@@ -146,8 +158,13 @@ func (p *Params) Rehydrate() error {
 	if p.N == nil || p.G == nil || p.Q < 1 || len(p.Primes) != p.Q {
 		return errors.New("rsavc: malformed parameters")
 	}
+	// The tables hold residues of base G in Montgomery form, which needs an
+	// odd modulus and G in [1, N); Setup always produces both.
+	if p.N.Cmp(big.NewInt(1)) <= 0 || p.N.Bit(0) == 0 || p.G.Sign() <= 0 || p.G.Cmp(p.N) >= 0 {
+		return errors.New("rsavc: modulus or base out of range")
+	}
 	for _, e := range p.Primes {
-		if e == nil || e.BitLen() <= p.MessageBits {
+		if e == nil || e.Sign() <= 0 || e.BitLen() <= p.MessageBits {
 			return errors.New("rsavc: prime not above message space")
 		}
 	}
@@ -190,6 +207,9 @@ func (p *Params) Commit(ms []*big.Int, r *big.Int) (*big.Int, error) {
 	if len(ms) != p.Q {
 		return nil, ErrVectorLength
 	}
+	if r.Sign() < 0 {
+		return nil, ErrNegativeHiding
+	}
 	// Single aggregated exponent E = r·P + Σ m_j·(P/e_j): one modular
 	// exponentiation whose exponent grows linearly with q.
 	exp := new(big.Int).Mul(r, p.prodPrimes)
@@ -201,7 +221,7 @@ func (p *Params) Commit(ms []*big.Int, r *big.Int) (*big.Int, error) {
 		term.Mul(m, p.prodDiv[j])
 		exp.Add(exp, term)
 	}
-	return new(big.Int).Exp(p.G, exp, p.N), nil
+	return p.g.exp(exp), nil
 }
 
 // Open computes the constant-size witness for slot i of the committed vector.
@@ -211,6 +231,9 @@ func (p *Params) Open(ms []*big.Int, r *big.Int, i int) (Witness, error) {
 	}
 	if i < 0 || i >= p.Q {
 		return Witness{}, ErrPositionOutOfRange
+	}
+	if r.Sign() < 0 {
+		return Witness{}, ErrNegativeHiding
 	}
 	// Exponent (rP + Σ_{j≠i} m_j·P/e_j) / e_i, which is integral because e_i
 	// divides every remaining term.
@@ -228,7 +251,7 @@ func (p *Params) Open(ms []*big.Int, r *big.Int, i int) (Witness, error) {
 		term.Mul(m, div)
 		exp.Add(exp, term)
 	}
-	return Witness{Lambda: new(big.Int).Exp(p.G, exp, p.N)}, nil
+	return Witness{Lambda: p.g.exp(exp)}, nil
 }
 
 // Verify checks that w opens slot i of commitment v to message m.
@@ -242,10 +265,13 @@ func (p *Params) Verify(v *big.Int, i int, m *big.Int, w Witness) bool {
 	if w.Lambda.Sign() <= 0 || w.Lambda.Cmp(p.N) >= 0 {
 		return false
 	}
-	got := new(big.Int).Exp(w.Lambda, p.Primes[i], p.N)
-	got.Mul(got, new(big.Int).Exp(p.bases[i], m, p.N))
-	got.Mod(got, p.N)
-	return got.Cmp(new(big.Int).Mod(v, p.N)) == 0
+	return p.opening(i, m, w.Lambda).Cmp(new(big.Int).Mod(v, p.N)) == 0
+}
+
+// opening returns Λ^{e_i} · g_i^m mod N: the commitment an opening Λ of slot
+// i to m reproduces.
+func (p *Params) opening(i int, m, lambda *big.Int) *big.Int {
+	return p.g.m.times(p.slots[i].powMont(m), expPeeled(lambda, p.Primes[i], p.N))
 }
 
 // Fabricate builds, in time independent of q, a fresh commitment V' that
@@ -263,9 +289,6 @@ func (p *Params) Fabricate(i int, m *big.Int) (*big.Int, Witness, error) {
 	if err != nil {
 		return nil, Witness{}, err
 	}
-	lambda := new(big.Int).Exp(p.G, s, p.N)
-	v := new(big.Int).Exp(lambda, p.Primes[i], p.N)
-	v.Mul(v, new(big.Int).Exp(p.bases[i], m, p.N))
-	v.Mod(v, p.N)
-	return v, Witness{Lambda: lambda}, nil
+	lambda := p.g.exp(s)
+	return p.opening(i, m, lambda), Witness{Lambda: lambda}, nil
 }

@@ -3,6 +3,7 @@ package rsavc
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -146,6 +147,13 @@ func TestCommitRejectsBadVectors(t *testing.T) {
 	if _, err := p.Open(ms, r, 5); err == nil {
 		t.Fatal("out-of-range open position must be rejected")
 	}
+	ms = randomVector(p, "vec")
+	if _, err := p.Commit(ms, big.NewInt(-1)); !errors.Is(err, ErrNegativeHiding) {
+		t.Fatalf("negative hiding randomness must be rejected by Commit, got %v", err)
+	}
+	if _, err := p.Open(ms, big.NewInt(-1), 0); !errors.Is(err, ErrNegativeHiding) {
+		t.Fatalf("negative hiding randomness must be rejected by Open, got %v", err)
+	}
 }
 
 func TestFabricateOpensChosenSlot(t *testing.T) {
@@ -235,6 +243,18 @@ func TestRehydrateRejectsMalformed(t *testing.T) {
 		Primes: []*big.Int{big.NewInt(7)}}
 	if err := bad.Rehydrate(); err == nil {
 		t.Fatal("prime below message space must be rejected")
+	}
+	prime := []*big.Int{big.NewInt(11)}
+	for name, bad := range map[string]Params{
+		"even modulus":      {N: big.NewInt(36), G: big.NewInt(4), Q: 1, MessageBits: 2, Primes: prime},
+		"modulus one":       {N: big.NewInt(1), G: big.NewInt(4), Q: 1, MessageBits: 2, Primes: prime},
+		"zero base":         {N: big.NewInt(35), G: big.NewInt(0), Q: 1, MessageBits: 2, Primes: prime},
+		"base past modulus": {N: big.NewInt(35), G: big.NewInt(39), Q: 1, MessageBits: 2, Primes: prime},
+		"negative prime":    {N: big.NewInt(35), G: big.NewInt(4), Q: 1, MessageBits: 2, Primes: []*big.Int{big.NewInt(-11)}},
+	} {
+		if err := bad.Rehydrate(); err == nil {
+			t.Fatalf("%s must be rejected", name)
+		}
 	}
 }
 
