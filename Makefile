@@ -116,10 +116,13 @@ tidy:
 	cd tools/analyzers && $(GO) mod tidy -diff
 	cd benchmark && $(GO) mod tidy -diff
 
-# fuzz-short exercises every wire/envelope fuzz target briefly; CI runs it
-# so decoder regressions surface without waiting for a long fuzz campaign.
+# fuzz-short exercises every wire/envelope fuzz target, and the proxy's
+# verified-proof memo against fresh verification, briefly; CI runs it so
+# decoder and verifier regressions surface without waiting for a long fuzz
+# campaign.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzProofUnmarshal$$' -fuzztime=20s ./internal/zkedb
+	$(GO) test -run='^$$' -fuzz='^FuzzVerifyMemo$$' -fuzztime=20s ./internal/poc
 	$(GO) test -run='^$$' -fuzz='^FuzzStoreReopen$$' -fuzztime=20s ./internal/zkedb/store
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMessage$$' -fuzztime=20s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzEnvelopeHeaderCompat$$' -fuzztime=20s ./internal/wire

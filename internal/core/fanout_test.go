@@ -86,10 +86,12 @@ func stripNondeterminism(r *Result) {
 		r.Event.DurationUS = 0
 		zeroHops(r.Event.Hops)
 		// Resource counters legitimately depend on the fan-out: a discarded
-		// speculative probe still computed (and cached) its proof, and those
-		// costs are attributed to the query that spent them.
+		// speculative probe still computed (and cached) its proof, and
+		// verified (and memoized) it, and those costs are attributed to the
+		// query that spent them.
 		r.Event.CacheHits, r.Event.CacheMisses = 0, 0
 		r.Event.PoolReused, r.Event.PoolRetries = 0, 0
+		r.Event.VerifyMemoHits, r.Event.VerifyMemoMisses = 0, 0
 	}
 }
 

@@ -104,6 +104,9 @@ func NewProxyWithConfig(ps *poc.PublicParams, strategy reputation.Strategy, reso
 		events:   resolved.EventSink,
 		router:   newShardRouter(resolved.Shards),
 	}
+	for _, sh := range px.router.shards {
+		sh.memo = poc.NewVerifyMemo(ps, verifyMemoKeys/len(px.router.shards))
+	}
 	if resolved.gated() {
 		px.gate = NewGate("proxy", resolved.AdmissionWorkers, resolved.AdmissionQueue)
 	}
@@ -321,7 +324,7 @@ func (px *Proxy) runQuery(ctx context.Context, sh *proxyShard, id poc.ProductID,
 	sh.mu.RLock()
 	list := sh.lists[entry.taskID]
 	sh.mu.RUnlock()
-	px.walk(ctx, list, entry.taskID, start, firstNext, id, quality, result)
+	px.walk(ctx, sh, list, entry.taskID, start, firstNext, id, quality, result)
 	span.SetAttr(trace.String("task", entry.taskID),
 		trace.Int("hops", len(result.Path)), trace.Int("violations", len(result.Violations)),
 		trace.Bool("complete", result.Complete))
@@ -402,7 +405,7 @@ func (px *Proxy) findStart(ctx context.Context, sh *proxyShard, id poc.ProductID
 
 	for _, initial := range initials {
 		for _, entry := range queues[initial] {
-			outcome := px.identify(ctx, entry.taskID, entry.credential, initial, id, quality)
+			outcome := px.identify(ctx, sh, entry.taskID, entry.credential, initial, id, quality)
 			px.counters.addInteraction(outcome.identified)
 			recordHop(result, initial, outcome)
 			result.Violations = append(result.Violations, outcome.violations...)
@@ -437,8 +440,9 @@ type identifyOutcome struct {
 }
 
 // identify runs one query interaction (§IV.C step 1–2) with participant v
-// under its POC for the given task.
-func (px *Proxy) identify(ctx context.Context, taskID string, credential poc.POC, v poc.ParticipantID, id poc.ProductID, quality Quality) (outcome identifyOutcome) {
+// under its POC for the given task. Proofs are verified through the owning
+// shard's verified-proof memo.
+func (px *Proxy) identify(ctx context.Context, sh *proxyShard, taskID string, credential poc.POC, v poc.ParticipantID, id poc.ProductID, quality Quality) (outcome identifyOutcome) {
 	hopStart := time.Now()
 	ctx, span := trace.Default.StartChild(ctx, "hop.identify",
 		trace.String("participant", string(v)), trace.String("task", taskID))
@@ -474,9 +478,9 @@ func (px *Proxy) identify(ctx context.Context, taskID string, credential poc.POC
 
 	switch quality {
 	case Good:
-		outcome = px.identifyGood(ctx, credential, v, id, resp)
+		outcome = identifyGood(ctx, sh.memo, credential, v, id, resp)
 	default:
-		outcome = px.identifyBad(ctx, taskID, credential, v, id, resp, responder)
+		outcome = identifyBad(ctx, sh.memo, taskID, credential, v, id, resp, responder)
 	}
 	outcome.timing.proveUS = proveUS
 	return outcome
@@ -484,7 +488,7 @@ func (px *Proxy) identify(ctx context.Context, taskID string, credential poc.POC
 
 // identifyGood implements the good-product interaction: only a valid
 // ownership proof identifies v (§IV.C good case).
-func (px *Proxy) identifyGood(ctx context.Context, credential poc.POC, v poc.ParticipantID, id poc.ProductID, resp *Response) identifyOutcome {
+func identifyGood(ctx context.Context, memo *poc.VerifyMemo, credential poc.POC, v poc.ParticipantID, id poc.ProductID, resp *Response) identifyOutcome {
 	if resp.Claim != ClaimProcessed {
 		// Not identified; in the good case a participant renouncing its
 		// positive score needs no proof.
@@ -497,7 +501,7 @@ func (px *Proxy) identifyGood(ctx context.Context, credential poc.POC, v poc.Par
 		}}}
 	}
 	verifyStart := time.Now()
-	tr, err := poc.Verify(ctx, px.ps, credential, id, resp.Proof)
+	tr, err := memo.Verify(ctx, credential, id, resp.Proof)
 	verifyUS := time.Since(verifyStart).Microseconds()
 	if err != nil {
 		return identifyOutcome{
@@ -515,13 +519,14 @@ func (px *Proxy) identifyGood(ctx context.Context, credential poc.POC, v poc.Par
 // identifyBad implements the bad-product interaction: a valid non-ownership
 // proof clears v; anything else identifies it, with an ownership demand to
 // recover the trace (§IV.C bad case).
-func (px *Proxy) identifyBad(ctx context.Context, taskID string, credential poc.POC, v poc.ParticipantID, id poc.ProductID, resp *Response, responder Responder) identifyOutcome {
+func identifyBad(ctx context.Context, memo *poc.VerifyMemo, taskID string, credential poc.POC, v poc.ParticipantID, id poc.ProductID, resp *Response, responder Responder) identifyOutcome {
 	var t hopTiming
-	// verify wraps poc.Verify, accumulating verification time for the hop's
-	// wide-event breakdown (the bad case can verify up to two proofs).
+	// verify wraps the memoized POC-Verify, accumulating verification time
+	// for the hop's wide-event breakdown (the bad case can verify up to two
+	// proofs).
 	verify := func(proof *poc.Proof) (*poc.Trace, error) {
 		verifyStart := time.Now()
-		tr, err := poc.Verify(ctx, px.ps, credential, id, proof)
+		tr, err := memo.Verify(ctx, credential, id, proof)
 		t.verifyUS += time.Since(verifyStart).Microseconds()
 		return tr, err
 	}
@@ -578,7 +583,7 @@ func (px *Proxy) identifyBad(ctx context.Context, taskID string, credential poc.
 
 // walk continues the query from the identified start down the POC list,
 // hop by hop (§IV.C step 3), with the next-hop checks of §III.B.
-func (px *Proxy) walk(ctx context.Context, list *poc.List, taskID string, start, firstNext poc.ParticipantID, id poc.ProductID, quality Quality, result *Result) {
+func (px *Proxy) walk(ctx context.Context, sh *proxyShard, list *poc.List, taskID string, start, firstNext poc.ParticipantID, id poc.ProductID, quality Quality, result *Result) {
 	visited := map[poc.ParticipantID]bool{start: true}
 	cur := start
 	next := firstNext
@@ -586,7 +591,7 @@ func (px *Proxy) walk(ctx context.Context, list *poc.List, taskID string, start,
 		if next == "" {
 			// No next hop named. If the POC list records children, the
 			// product may still have moved on — probe them.
-			child, childNext := px.probeChildren(ctx, list, taskID, cur, id, quality, visited, result)
+			child, childNext := px.probeChildren(ctx, sh, list, taskID, cur, id, quality, visited, result)
 			if child == "" {
 				result.Complete = len(list.Children(cur)) == 0
 				return
@@ -627,7 +632,7 @@ func (px *Proxy) walk(ctx context.Context, list *poc.List, taskID string, start,
 			continue
 		}
 		visited[next] = true
-		outcome := px.identify(ctx, taskID, credential, next, id, quality)
+		outcome := px.identify(ctx, sh, taskID, credential, next, id, quality)
 		px.counters.addInteraction(outcome.identified)
 		recordHop(result, next, outcome)
 		result.Violations = append(result.Violations, outcome.violations...)
@@ -663,7 +668,7 @@ func (px *Proxy) walk(ctx context.Context, list *poc.List, taskID string, start,
 // interrogated. Speculation is safe because the probe interaction is
 // read-only on the participant side (query and, in the bad case, the
 // ownership demand both answer from the committed DPOC).
-func (px *Proxy) probeChildren(ctx context.Context, list *poc.List, taskID string, cur poc.ParticipantID, id poc.ProductID, quality Quality, visited map[poc.ParticipantID]bool, result *Result) (poc.ParticipantID, poc.ParticipantID) {
+func (px *Proxy) probeChildren(ctx context.Context, sh *proxyShard, list *poc.List, taskID string, cur poc.ParticipantID, id poc.ProductID, quality Quality, visited map[poc.ParticipantID]bool, result *Result) (poc.ParticipantID, poc.ParticipantID) {
 	type candidate struct {
 		child      poc.ParticipantID
 		credential poc.POC
@@ -697,7 +702,7 @@ func (px *Proxy) probeChildren(ctx context.Context, list *poc.List, taskID strin
 
 	if px.cfg.ProbeFanout <= 1 || len(cands) <= 1 {
 		for _, c := range cands {
-			outcome := px.identify(ctx, taskID, c.credential, c.child, id, quality)
+			outcome := px.identify(ctx, sh, taskID, c.credential, c.child, id, quality)
 			if child, next, ok := commit(c, outcome); ok {
 				return child, next
 			}
@@ -714,7 +719,7 @@ func (px *Proxy) probeChildren(ctx context.Context, list *poc.List, taskID strin
 		go func(i int) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			outcomes[i] <- px.identify(probeCtx, taskID, cands[i].credential, cands[i].child, id, quality)
+			outcomes[i] <- px.identify(probeCtx, sh, taskID, cands[i].credential, cands[i].child, id, quality)
 		}(i)
 	}
 	for i, c := range cands {

@@ -40,6 +40,10 @@ type proxyShard struct {
 
 	ledger *reputation.Ledger
 
+	// memo is the shard's share of the proxy's verified-proof memo: proofs
+	// for this shard's products that already passed POC-Verify.
+	memo *poc.VerifyMemo
+
 	// Per-instance tallies for ShardStats: the obs series below are
 	// process-wide (every proxy in the process shares the shard-0 series),
 	// so a proxy's own snapshot needs its own counters.
@@ -49,6 +53,11 @@ type proxyShard struct {
 	queries   *obs.Counter // walks led by this shard index, process-wide
 	coalesced *obs.Counter // queries coalesced on this shard index, process-wide
 }
+
+// verifyMemoKeys bounds the proxy's verified-proof memo, split evenly across
+// the shards. A key costs about 310 bytes resident, so a full memo holds
+// about 1.2 MiB (DESIGN §10).
+const verifyMemoKeys = 4096
 
 // newProxyShard builds one empty shard worker.
 func newProxyShard(id int) *proxyShard {

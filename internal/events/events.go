@@ -129,6 +129,10 @@ type Event struct {
 	CacheMisses uint64 `json:"cache_misses,omitempty"`
 	PoolReused  uint64 `json:"pool_reused,omitempty"`
 	PoolRetries uint64 `json:"pool_retries,omitempty"`
+	// Proxy-side verified-proof memo: proofs accepted without re-verifying,
+	// and proofs verified by a memo leader.
+	VerifyMemoHits   uint64 `json:"verify_memo_hits,omitempty"`
+	VerifyMemoMisses uint64 `json:"verify_memo_misses,omitempty"`
 
 	// Node-request section.
 	MsgType string `json:"msg_type,omitempty"`

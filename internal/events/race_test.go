@@ -2,6 +2,7 @@ package events
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -101,4 +102,47 @@ func TestScopeNilSafety(t *testing.T) {
 	if got := ScopeFrom(ctx); got != nil {
 		t.Fatalf("WithScope(nil) stored something: %v", got)
 	}
+}
+
+// TestScopeMemoCounters pins the verified-proof memo's route onto the wide
+// event: concurrent hops count into one scope, Fill copies the totals, the
+// fields are additive (absent when zero, so older journals read the same),
+// and a nil scope ignores them.
+func TestScopeMemoCounters(t *testing.T) {
+	s := NewScope()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s.MemoHit()
+				s.MemoMiss()
+				s.MemoHit()
+			}
+		}()
+	}
+	wg.Wait()
+	ev := New(KindQuery, time.Time{})
+	s.Fill(ev)
+	if ev.VerifyMemoHits != 400 || ev.VerifyMemoMisses != 200 {
+		t.Fatalf("memo counters = %d hits, %d misses; want 400 and 200", ev.VerifyMemoHits, ev.VerifyMemoMisses)
+	}
+	line, err := ev.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(line), `"verify_memo_hits":400`) || !strings.Contains(string(line), `"verify_memo_misses":200`) {
+		t.Fatalf("encoded event lacks the memo fields: %s", line)
+	}
+	empty, err := New(KindQuery, time.Time{}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(empty), "verify_memo") {
+		t.Fatalf("zero memo counters must be omitted: %s", empty)
+	}
+	var none *Scope
+	none.MemoHit()
+	none.MemoMiss()
 }

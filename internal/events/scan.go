@@ -140,6 +140,10 @@ type Summary struct {
 	CacheMisses  uint64         `json:"cache_misses"`
 	PoolReused   uint64         `json:"pool_reused"`
 	PoolRetries  uint64         `json:"pool_retries"`
+	// Verified-proof memo totals, the journal's view of
+	// desword_verifymemo_{hits,misses}.
+	VerifyMemoHits   uint64 `json:"verify_memo_hits"`
+	VerifyMemoMisses uint64 `json:"verify_memo_misses"`
 
 	// Slowest holds the top-N slowest query events, slowest first, when the
 	// summarizer was asked to keep them.
@@ -180,6 +184,8 @@ func Summarize(dir string, f Filter, topN int) (*Summary, error) {
 		s.CacheMisses += ev.CacheMisses
 		s.PoolReused += ev.PoolReused
 		s.PoolRetries += ev.PoolRetries
+		s.VerifyMemoHits += ev.VerifyMemoHits
+		s.VerifyMemoMisses += ev.VerifyMemoMisses
 		if topN > 0 {
 			s.Slowest = insertSlowest(s.Slowest, ev, topN)
 		}

@@ -6,14 +6,15 @@ import (
 )
 
 // Scope accumulates per-request resource counters along a request's context:
-// proof-cache hits and misses (poc), pooled-connection reuse and retries
-// (node). The process-wide obs counters answer "how much overall"; a scope
-// answers "how much did THIS query cost", which is what lands on its wide
-// event. All methods are nil-safe, so instrumented hot paths pay one branch
+// proof-cache and verified-proof-memo hits and misses (poc), pooled-connection
+// reuse and retries (node). The process-wide obs counters answer "how much
+// overall"; a scope answers "how much did THIS query cost", which is what
+// lands on its wide event. All methods are nil-safe, so instrumented hot paths pay one branch
 // when no event is being assembled, and atomic, because speculative child
 // probes touch the scope concurrently.
 type Scope struct {
 	cacheHits, cacheMisses, poolReused, poolRetries atomic.Uint64
+	memoHits, memoMisses                            atomic.Uint64
 }
 
 // NewScope returns an empty scope.
@@ -52,6 +53,20 @@ func (s *Scope) CacheMiss() {
 	}
 }
 
+// MemoHit counts one proof accepted from the verified-proof memo.
+func (s *Scope) MemoHit() {
+	if s != nil {
+		s.memoHits.Add(1)
+	}
+}
+
+// MemoMiss counts one proof verified by a memo leader.
+func (s *Scope) MemoMiss() {
+	if s != nil {
+		s.memoMisses.Add(1)
+	}
+}
+
 // PoolReuse counts one exchange served over a reused pooled connection.
 func (s *Scope) PoolReuse() {
 	if s != nil {
@@ -75,4 +90,6 @@ func (s *Scope) Fill(ev *Event) {
 	ev.CacheMisses = s.cacheMisses.Load()
 	ev.PoolReused = s.poolReused.Load()
 	ev.PoolRetries = s.poolRetries.Load()
+	ev.VerifyMemoHits = s.memoHits.Load()
+	ev.VerifyMemoMisses = s.memoMisses.Load()
 }

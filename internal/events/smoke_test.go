@@ -2,6 +2,7 @@ package events_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"desword/internal/core"
@@ -18,8 +19,11 @@ import (
 // small chain over real TCP with the flight recorder journaling on the proxy,
 // runs good and bad queries, then scans the journal offline the way
 // desword-events does and asserts the aggregates agree with the proxy's live
-// metrics — the property that makes journals trustworthy evidence. It lives
-// in package events_test because it imports node (which imports events).
+// metrics — the property that makes journals trustworthy evidence. Repeat
+// queries also cross the proxy's verified-proof memo on proofs that came
+// off the wire: the first walk misses on every hop, later ones hit, and the
+// journal's memo counts match the live ones. It lives in package events_test
+// because it imports node (which imports events).
 func TestEventsSmoke(t *testing.T) {
 	const hops = 3
 	ps, err := poc.PSGen(zkedb.TestParams())
@@ -79,9 +83,12 @@ func TestEventsSmoke(t *testing.T) {
 	goodCtr := obs.Default.Counter("desword_queries_total", "Completed path queries.", "quality", "good")
 	badCtr := obs.Default.Counter("desword_queries_total", "Completed path queries.", "quality", "bad")
 	hopCtr := obs.Default.Counter("desword_query_hops_total", "Query interactions performed.")
+	memoHitCtr := obs.Default.Counter("desword_verifymemo_hits", "")
 	goodBefore, badBefore, hopsBefore := goodCtr.Value(), badCtr.Value(), hopCtr.Value()
+	memoHitsBefore := memoHitCtr.Value()
 
 	const goodQueries, badQueries = 3, 1
+	var first *core.Result
 	for i := 0; i < goodQueries; i++ {
 		result, err := client.QueryPath(context.Background(), poc.ProductID("evsmoke1"), core.Good)
 		if err != nil {
@@ -92,6 +99,22 @@ func TestEventsSmoke(t *testing.T) {
 		}
 		if result.Event == nil {
 			t.Fatal("path result carried no wide event")
+		}
+		// Every hop verifies one ownership proof: the first walk verifies
+		// each afresh, the repeats find each in the memo.
+		wantHits, wantMisses := uint64(hops), uint64(0)
+		if i == 0 {
+			wantHits, wantMisses = 0, hops
+			first = result
+		}
+		if ev := result.Event; ev.VerifyMemoHits != wantHits || ev.VerifyMemoMisses != wantMisses {
+			t.Fatalf("query %d: %d memo hits, %d misses; want %d and %d",
+				i, ev.VerifyMemoHits, ev.VerifyMemoMisses, wantHits, wantMisses)
+		}
+		if !reflect.DeepEqual(result.Path, first.Path) || !reflect.DeepEqual(result.Traces, first.Traces) ||
+			!reflect.DeepEqual(result.Violations, first.Violations) || result.Complete != first.Complete ||
+			!reflect.DeepEqual(result.Event.RepDeltas, first.Event.RepDeltas) {
+			t.Fatalf("query %d through the memo differs from the first:\nfirst: %+v\nnow:   %+v", i, first, result)
 		}
 	}
 	if _, err := client.QueryPath(context.Background(), poc.ProductID("evsmoke1"), core.Bad); err != nil {
@@ -123,6 +146,9 @@ func TestEventsSmoke(t *testing.T) {
 	}
 	if got := hopCtr.Value() - hopsBefore; got != uint64(sum.Hops) {
 		t.Fatalf("hops: metrics %d, journal %d", got, sum.Hops)
+	}
+	if got := memoHitCtr.Value() - memoHitsBefore; got != sum.VerifyMemoHits || got == 0 {
+		t.Fatalf("verify memo hits: metrics %d, journal %d", got, sum.VerifyMemoHits)
 	}
 	if sum.ByOutcome[string(events.OutcomeComplete)] != total {
 		t.Fatalf("outcomes: %+v, want %d complete", sum.ByOutcome, total)

@@ -31,28 +31,10 @@ var cacheMetrics = sync.OnceValue(func() *cacheCounters {
 	}
 })
 
-// proofCache is a bounded single-flight LRU over product ids. The first
-// Prove for an id becomes the leader and computes; concurrent followers park
-// on the entry's ready channel and share the result, so N simultaneous
-// demands for one hot product cost one proof computation. Entries never go
-// stale within a DPOC: the decommitment tree is immutable after Agg, so
-// invalidation is structural — committing new task state mints a new DPOC
-// and with it a fresh cache (DESIGN §10).
-type proofCache struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List // front = most recently used
-	entries map[ProductID]*list.Element
-}
-
-// cacheEntry is one id's slot. proof/err are written once by the leader
-// before ready is closed; followers read them only after <-ready.
-type cacheEntry struct {
-	id    ProductID
-	ready chan struct{}
-	proof *Proof
-	err   error
-}
+// proofCache is a DPOC's proof cache: product id → proof. Entries never go
+// stale: the decommitment tree changes only through DPOC.Update, which swaps
+// in a fresh cache, so invalidation is structural (DESIGN §10).
+type proofCache = lru[ProductID, *Proof]
 
 // newProofCache translates the AggOptions knob: 0 selects the default size,
 // negative disables caching entirely.
@@ -63,59 +45,89 @@ func newProofCache(size int) *proofCache {
 	if size == 0 {
 		size = DefaultProofCacheSize
 	}
-	return &proofCache{
-		max:     size,
-		ll:      list.New(),
-		entries: make(map[ProductID]*list.Element),
+	return newLRU[ProductID, *Proof](size, cacheMetrics().evictions)
+}
+
+// lru is a bounded single-flight LRU. The first caller for a key becomes the
+// leader and computes; concurrent followers park on the entry's ready
+// channel and share the result, so N simultaneous demands for one hot key
+// cost one computation. Failed computations are dropped, never cached. Both
+// the DPOC proof cache and the proxy's verified-proof memo (memo.go) are
+// instances.
+type lru[K comparable, V any] struct {
+	mu        sync.Mutex
+	max       int
+	ll        *list.List          // front = most recently used; guarded by mu
+	entries   map[K]*list.Element // guarded by mu
+	evictions *obs.Counter
+}
+
+// lruEntry is one key's slot. val/err are written once by the leader before
+// ready is closed; followers read them only after <-ready.
+type lruEntry[K comparable, V any] struct {
+	key   K
+	ready chan struct{}
+	val   V
+	err   error
+}
+
+// newLRU builds an empty LRU holding at most max entries; evictions counts
+// its LRU removals.
+func newLRU[K comparable, V any](max int, evictions *obs.Counter) *lru[K, V] {
+	return &lru[K, V]{
+		max:       max,
+		ll:        list.New(),
+		entries:   make(map[K]*list.Element),
+		evictions: evictions,
 	}
 }
 
-// getOrLead returns the entry for id and whether the caller is its leader.
-// Leaders must compute the proof and publish it via finish; followers wait
+// getOrLead returns the entry for key and whether the caller is its leader.
+// Leaders must compute the value and publish it via finish; followers wait
 // on entry.ready. Inserting may evict the least recently used entries —
 // including in-flight ones, whose waiters keep their reference and are
 // unaffected.
-func (pc *proofCache) getOrLead(id ProductID) (*cacheEntry, bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.entries[id]; ok {
-		pc.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry), false
+func (c *lru[K, V]) getOrLead(key K) (*lruEntry[K, V], bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.ll.MoveToFront(el)
+		return el.Value.(*lruEntry[K, V]), false
 	}
-	ent := &cacheEntry{id: id, ready: make(chan struct{})}
-	el := pc.ll.PushFront(ent)
-	pc.entries[id] = el
-	for pc.ll.Len() > pc.max {
-		oldest := pc.ll.Back()
+	ent := &lruEntry[K, V]{key: key, ready: make(chan struct{})}
+	el := c.ll.PushFront(ent)
+	c.entries[key] = el
+	for c.ll.Len() > c.max {
+		oldest := c.ll.Back()
 		if oldest == el {
 			break
 		}
-		pc.ll.Remove(oldest)
-		delete(pc.entries, oldest.Value.(*cacheEntry).id)
-		cacheMetrics().evictions.Inc()
+		c.ll.Remove(oldest)
+		delete(c.entries, oldest.Value.(*lruEntry[K, V]).key)
+		c.evictions.Inc()
 	}
 	return ent, true
 }
 
 // finish publishes the leader's result and wakes the followers. Failed
-// computations are removed from the cache so the next Prove for the id
-// retries instead of replaying the error forever.
-func (pc *proofCache) finish(ent *cacheEntry, proof *Proof, err error) {
-	pc.mu.Lock()
-	ent.proof, ent.err = proof, err
+// computations are removed so the next caller for the key retries instead of
+// replaying the error forever.
+func (c *lru[K, V]) finish(ent *lruEntry[K, V], val V, err error) {
+	c.mu.Lock()
+	ent.val, ent.err = val, err
 	if err != nil {
-		if el, ok := pc.entries[ent.id]; ok && el.Value == ent {
-			pc.ll.Remove(el)
-			delete(pc.entries, ent.id)
+		if el, ok := c.entries[ent.key]; ok && el.Value == ent {
+			c.ll.Remove(el)
+			delete(c.entries, ent.key)
 		}
 	}
-	pc.mu.Unlock()
+	c.mu.Unlock()
 	close(ent.ready)
 }
 
 // len reports the current entry count, for tests.
-func (pc *proofCache) len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.ll.Len()
+func (c *lru[K, V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
 }

@@ -1,0 +1,124 @@
+package poc
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"hash"
+	"sync"
+
+	"desword/internal/events"
+	"desword/internal/obs"
+	"desword/internal/trace"
+)
+
+// memoMetrics are the process-wide verified-proof memo metrics, counted like
+// the proof cache's: hits are proofs accepted without re-running the
+// openings, misses are verifications run by a single-flight leader,
+// evictions are LRU removals. They aggregate across every memo in the
+// process.
+var memoMetrics = sync.OnceValue(func() *cacheCounters {
+	return &cacheCounters{
+		hits: obs.Default.Counter("desword_verifymemo_hits",
+			"Verified-proof memo hits: proofs accepted without re-running POC-Verify."),
+		misses: obs.Default.Counter("desword_verifymemo_misses",
+			"Verified-proof memo misses: proofs verified by a single-flight leader."),
+		evictions: obs.Default.Counter("desword_verifymemo_evictions",
+			"Verified-proof memo LRU evictions."),
+	}
+})
+
+// memoKey is SHA-256 over the length-prefixed POC commitment, product id,
+// outer proof kind and the proof's compact encoding.
+type memoKey [sha256.Size]byte
+
+// VerifyMemo remembers proofs that passed POC-Verify, so a verifier shown the
+// same proof again — byte for byte, under the same POC and product id —
+// accepts it without re-running the openings. It holds keys only: Verify is
+// deterministic, and an accepted proof's verdict is a function of the proof
+// itself (the committed trace it carries, or nothing for non-ownership), so
+// a hit rebuilds the verdict from the proof in hand. Rejections are never
+// remembered. A POC never changes once aggregated (Update mints a new
+// commitment, hence new keys), so entries never need invalidating; the LRU
+// bound is the only way out. See DESIGN.md §10.
+type VerifyMemo struct {
+	ps  *PublicParams
+	lru *lru[memoKey, struct{}]
+}
+
+// NewVerifyMemo builds an empty memo of at most size keys (at least one) for
+// proofs verified under ps.
+func NewVerifyMemo(ps *PublicParams, size int) *VerifyMemo {
+	return &VerifyMemo{ps: ps, lru: newLRU[memoKey, struct{}](max(size, 1), memoMetrics().evictions)}
+}
+
+// Verify is POC-Verify (see Verify) through the memo: it returns exactly what
+// Verify(ctx, ps, credential, id, proof) would. Malformed framing (a nil
+// proof, an unknown or relabelled kind) is rejected before the memo is
+// consulted, and a proof that cannot be encoded bypasses it. Concurrent
+// calls for one key verify once; the followers of a leader whose proof was
+// rejected verify their own. A hit records a zero-work "zkedb.verify" span
+// tagged memo=hit, so hop timelines keep one span name.
+func (m *VerifyMemo) Verify(ctx context.Context, credential POC, id ProductID, proof *Proof) (*Trace, error) {
+	if err := checkKind(proof); err != nil {
+		return nil, err
+	}
+	key, ok := keyOf(credential, id, proof)
+	if !ok {
+		return verifyZK(ctx, m.ps, credential, id, proof)
+	}
+	for {
+		ent, leader := m.lru.getOrLead(key)
+		if leader {
+			memoMetrics().misses.Inc()
+			events.ScopeFrom(ctx).MemoMiss()
+			tr, err := verifyZK(ctx, m.ps, credential, id, proof)
+			m.lru.finish(ent, struct{}{}, err)
+			return tr, err
+		}
+		// No ctx select: the leader always finishes, and verification
+		// ignores ctx too.
+		<-ent.ready
+		if ent.err != nil {
+			continue // the failed entry is gone: verify as the next leader
+		}
+		memoMetrics().hits.Inc()
+		events.ScopeFrom(ctx).MemoHit()
+		params := m.ps.CRS.Params
+		_, span := trace.Default.StartChild(ctx, "zkedb.verify",
+			trace.Int("q", params.Q), trace.Int("h", params.H),
+			trace.String("kind", proof.ZK.Kind.String()), trace.String("memo", "hit"))
+		span.End()
+		if proof.Kind == Ownership {
+			return &Trace{Product: id, Data: proof.ZK.Value}, nil
+		}
+		return nil, nil
+	}
+}
+
+// keyOf derives the memo key, or reports false when the proof cannot be
+// encoded. It relies on zkedb.Proof.MarshalBinary being faithful: equal
+// bytes decode to one proof, so equal keys mean equal Verify inputs.
+func keyOf(credential POC, id ProductID, proof *Proof) (memoKey, bool) {
+	body, err := proof.ZK.MarshalBinary()
+	if err != nil {
+		return memoKey{}, false
+	}
+	h := sha256.New()
+	writeField(h, credential.Com.Bytes())
+	writeField(h, []byte(id))
+	writeField(h, []byte{byte(proof.Kind)})
+	writeField(h, body)
+	var key memoKey
+	h.Sum(key[:0])
+	return key, true
+}
+
+// writeField hashes b behind its 8-byte length, so field boundaries cannot
+// shift between keys.
+func writeField(h hash.Hash, b []byte) {
+	var n [8]byte
+	binary.BigEndian.PutUint64(n[:], uint64(len(b)))
+	h.Write(n[:])
+	h.Write(b)
+}

@@ -11,7 +11,7 @@ import (
 
 var _testPS *PublicParams
 
-func testPS(t *testing.T) *PublicParams {
+func testPS(t testing.TB) *PublicParams {
 	t.Helper()
 	if _testPS == nil {
 		ps, err := PSGen(zkedb.TestParams())

@@ -25,8 +25,11 @@ const (
 	levelFlagSoft byte = 2
 )
 
+// encBuf accumulates an encoding. The first shape the format cannot carry
+// faithfully sticks in err and aborts MarshalBinary.
 type encBuf struct {
 	buf []byte
+	err error
 }
 
 func (e *encBuf) writeByte(b byte) { e.buf = append(e.buf, b) }
@@ -40,12 +43,19 @@ func (e *encBuf) writeBytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// writeBigInt writes x's magnitude. The decoder reads back a non-negative,
+// non-nil integer, so nil (which would come back as 0) and negative values
+// (which would come back as |x|) are refused rather than silently changed.
 func (e *encBuf) writeBigInt(x *big.Int) {
-	if x == nil {
-		e.writeBytes(nil)
-		return
+	switch {
+	case e.err != nil:
+	case x == nil:
+		e.err = errors.New("nil integer")
+	case x.Sign() < 0:
+		e.err = errors.New("negative integer")
+	default:
+		e.writeBytes(x.Bytes())
 	}
-	e.writeBytes(x.Bytes())
 }
 
 func (e *encBuf) writeCommitment(c mercurial.Commitment) {
@@ -119,14 +129,23 @@ func (d *decBuf) readCommitment() (mercurial.Commitment, error) {
 	return mercurial.Commitment{C0: c0, C1: c1}, nil
 }
 
-// MarshalBinary encodes the proof compactly.
+// MarshalBinary encodes the proof compactly. The encoding is faithful: the
+// bytes decode (UnmarshalBinary) to a proof equal to p, up to an empty Value
+// reading back as nil. Shapes it cannot carry that way are errors: an
+// unknown kind, a nil or negative integer, and a level or leaf carrying both
+// a hard and a soft opening, or neither.
 func (p *Proof) MarshalBinary() ([]byte, error) {
+	if p.Kind != ProofOwnership && p.Kind != ProofNonOwnership {
+		return nil, fmt.Errorf("zkedb: encoding proof: unknown kind %d", p.Kind)
+	}
 	var e encBuf
 	e.writeByte(byte(p.Kind))
 	e.writeBytes(p.Value)
 	e.writeUvarint(uint64(len(p.Levels)))
 	for i, lo := range p.Levels {
 		switch {
+		case lo.Hard != nil && lo.Soft != nil:
+			return nil, fmt.Errorf("zkedb: encoding proof: level %d has both a hard and a soft opening", i)
 		case lo.Hard != nil:
 			e.writeByte(levelFlagHard)
 			e.writeUvarint(uint64(lo.Hard.Slot))
@@ -148,8 +167,13 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 			return nil, fmt.Errorf("zkedb: level %d has no opening", i)
 		}
 		e.writeCommitment(lo.Child)
+		if e.err != nil {
+			return nil, fmt.Errorf("zkedb: encoding proof: level %d: %w", i, e.err)
+		}
 	}
 	switch {
+	case p.LeafHard != nil && p.LeafTease != nil:
+		return nil, errors.New("zkedb: encoding proof: leaf has both a hard opening and a tease")
 	case p.LeafHard != nil:
 		e.writeByte(levelFlagHard)
 		e.writeBigInt(p.LeafHard.M)
@@ -161,6 +185,9 @@ func (p *Proof) MarshalBinary() ([]byte, error) {
 		e.writeBigInt(p.LeafTease.Tau)
 	default:
 		return nil, errors.New("zkedb: proof missing leaf opening")
+	}
+	if e.err != nil {
+		return nil, fmt.Errorf("zkedb: encoding proof: leaf: %w", e.err)
 	}
 	return e.buf, nil
 }

@@ -1,6 +1,7 @@
 package zkedb
 
 import (
+	"bytes"
 	"context"
 	"testing"
 )
@@ -8,7 +9,8 @@ import (
 // FuzzProofUnmarshal hammers the compact binary proof decoder — the one
 // parser in the system that consumes bytes from untrusted participants
 // before any cryptographic check runs. It must never panic, and any input it
-// accepts must re-encode losslessly.
+// accepts must re-encode losslessly: the re-encoding decodes, and encodes
+// again to the very same bytes.
 func FuzzProofUnmarshal(f *testing.F) {
 	crs, err := CRSGen(TestParams())
 	if err != nil {
@@ -55,6 +57,13 @@ func FuzzProofUnmarshal(f *testing.F) {
 		var p2 Proof
 		if err := p2.UnmarshalBinary(re); err != nil {
 			t.Fatalf("re-encoded proof failed to decode: %v", err)
+		}
+		re2, err := p2.MarshalBinary()
+		if err != nil {
+			t.Fatalf("decoded re-encoding failed to encode: %v", err)
+		}
+		if !bytes.Equal(re, re2) {
+			t.Fatalf("re-encoding is not stable: %d bytes, then %d different bytes", len(re), len(re2))
 		}
 	})
 }
