@@ -116,7 +116,8 @@ tidy:
 	cd tools/analyzers && $(GO) mod tidy -diff
 	cd benchmark && $(GO) mod tidy -diff
 
-# fuzz-short exercises every wire/envelope fuzz target, and the proxy's
+# fuzz-short exercises every wire/envelope fuzz target (the batch envelopes
+# included), the proof and node-store decoders, and the proxy's
 # verified-proof memo against fresh verification, briefly; CI runs it so
 # decoder and verifier regressions surface without waiting for a long fuzz
 # campaign.
@@ -127,3 +128,5 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMessage$$' -fuzztime=20s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzEnvelopeHeaderCompat$$' -fuzztime=20s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeProof$$' -fuzztime=20s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequestCompat$$' -fuzztime=20s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchResultCompat$$' -fuzztime=20s ./internal/wire

@@ -361,7 +361,7 @@ func e2eSetup() {
 		}
 		dir[id] = srv.Addr()
 	}
-	proxy := core.NewProxy(ps, reputation.DefaultStrategy(), node.DirectoryResolver(dir).Resolver())
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), node.DirectoryResolver(dir).Resolver(), core.ProxyConfig{})
 	proxySrv, err := node.ServeProxy(context.Background(), "127.0.0.1:0", proxy)
 	if err != nil {
 		e2eErr = err

@@ -70,7 +70,7 @@ func run() error {
 	// use the responsibility-weighted award strategy.
 	strategy := reputation.DefaultStrategy()
 	strategy.Weigh = reputation.ResponsibilityWeigher
-	proxy := core.NewProxy(ps, strategy, resolver)
+	proxy := core.NewProxyWithConfig(ps, strategy, resolver, core.ProxyConfig{})
 	if err := proxy.RegisterList(dist.TaskID, dist.List); err != nil {
 		return err
 	}

@@ -87,7 +87,7 @@ func run() error {
 		}
 		return members[v], nil
 	}
-	proxy := core.NewProxy(ps, reputation.DefaultStrategy(), resolver)
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, core.ProxyConfig{})
 	if err := proxy.RegisterList(dist.TaskID, dist.List); err != nil {
 		return err
 	}

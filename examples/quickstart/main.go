@@ -65,7 +65,7 @@ func run() error {
 
 	// 4. The initial participant submits the POC list to the proxy.
 	resolver := func(v poc.ParticipantID) (core.Responder, error) { return members[v], nil }
-	proxy := core.NewProxy(ps, reputation.DefaultStrategy(), resolver)
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, core.ProxyConfig{})
 	if err := proxy.RegisterList(dist.TaskID, dist.List); err != nil {
 		return err
 	}

@@ -83,7 +83,7 @@ func run() error {
 	}
 	resolver := node.DirectoryResolver(directory)
 	defer closeQuietly(resolver)
-	proxy := core.NewProxy(ps, reputation.DefaultStrategy(), resolver.Resolver())
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver.Resolver(), core.ProxyConfig{})
 	proxySrv, err := node.ServeProxy(context.Background(), "127.0.0.1:0", proxy)
 	if err != nil {
 		return err

@@ -81,7 +81,7 @@ func (fx *lineFixture) proxyWith(t *testing.T, dishonest map[poc.ParticipantID]*
 		}
 		return nil, fmt.Errorf("no member %s", v)
 	}
-	proxy := core.NewProxy(fx.ps, reputation.DefaultStrategy(), resolver)
+	proxy := core.NewProxyWithConfig(fx.ps, reputation.DefaultStrategy(), resolver, core.ProxyConfig{})
 	if err := proxy.RegisterList(fx.dist.TaskID, fx.dist.List); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestClaimProcessingDetected(t *testing.T) {
 			return members[v], nil
 		}
 	}
-	proxy := core.NewProxy(ps, reputation.DefaultStrategy(), resolver)
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, core.ProxyConfig{})
 	if err := proxy.RegisterList("task-imp", list); err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestAdditionIsDoubleEdged(t *testing.T) {
 			t.Fatal(err)
 		}
 		resolver := func(v poc.ParticipantID) (core.Responder, error) { return members[v], nil }
-		proxy := core.NewProxy(ps, reputation.DefaultStrategy(), resolver)
+		proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, core.ProxyConfig{})
 		if err := proxy.RegisterList("task-add", list); err != nil {
 			t.Fatal(err)
 		}

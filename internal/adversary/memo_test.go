@@ -75,7 +75,7 @@ func imposterProxy(t *testing.T) (*core.Proxy, poc.ProductID) {
 	misdirector.WrongNext[target] = "imposter"
 	imposter := NewDishonest(members["imposter"])
 	imposter.FakeProcessing[target] = true
-	proxy := core.NewProxy(ps, reputation.DefaultStrategy(), func(v poc.ParticipantID) (core.Responder, error) {
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), func(v poc.ParticipantID) (core.Responder, error) {
 		switch v {
 		case "p1":
 			return misdirector, nil
@@ -84,7 +84,7 @@ func imposterProxy(t *testing.T) (*core.Proxy, poc.ProductID) {
 		default:
 			return members[v], nil
 		}
-	})
+	}, core.ProxyConfig{})
 	if err := proxy.RegisterList("task-imp", list); err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	resolver := func(v poc.ParticipantID) (core.Responder, error) { return members[v], nil }
-	proxy := core.NewProxy(ps, reputation.DefaultStrategy(), resolver)
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, core.ProxyConfig{})
 	if err := proxy.RegisterList(dist.TaskID, dist.List); err != nil {
 		t.Fatal(err)
 	}

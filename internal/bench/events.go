@@ -165,11 +165,8 @@ func runEventsChain(ps *poc.PublicParams, n, reps int, mode eventsMode) (good ti
 	}
 	directory := node.DirectoryResolver(dir)
 	defer directory.Close()
-	proxyOpts := []core.ProxyOption{}
-	if proxySink != nil {
-		proxyOpts = append(proxyOpts, core.WithEventSink(proxySink))
-	}
-	proxy := core.NewProxy(ps, reputation.DefaultStrategy(), directory.Resolver(), proxyOpts...)
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), directory.Resolver(),
+		core.ProxyConfig{EventSink: proxySink})
 	srvOpts := []node.Option{}
 	if proxySink != nil {
 		srvOpts = append(srvOpts, node.WithEventSink(proxySink))

@@ -112,7 +112,7 @@ func runTelemetryChain(ps *poc.PublicParams, n, reps int, telemetered bool) (goo
 	}
 	directory := node.DirectoryResolver(dir)
 	defer directory.Close()
-	proxy := core.NewProxy(ps, reputation.DefaultStrategy(), directory.Resolver())
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), directory.Resolver(), core.ProxyConfig{})
 	proxySrv, err := node.ServeProxy(context.Background(), "127.0.0.1:0", proxy)
 	if err != nil {
 		return 0, err

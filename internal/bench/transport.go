@@ -85,7 +85,7 @@ func runTransportChain(ps *poc.PublicParams, n, reps int) (pooled, dialed time.D
 	run := func(opts ...node.Option) (perQuery time.Duration, dirStats node.PoolStats, err error) {
 		directory := node.DirectoryResolver(dir, opts...)
 		defer directory.Close()
-		proxy := core.NewProxy(ps, reputation.DefaultStrategy(), directory.Resolver())
+		proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), directory.Resolver(), core.ProxyConfig{})
 		proxySrv, err := node.ServeProxy(context.Background(), "127.0.0.1:0", proxy)
 		if err != nil {
 			return 0, node.PoolStats{}, err

@@ -16,13 +16,6 @@ import (
 // carries its own result, error, or shed marker; one bad id never fails its
 // neighbours.
 
-// BatchOptions tunes one QueryPathBatch call.
-type BatchOptions struct {
-	// Fanout bounds how many distinct products are in flight at once.
-	// 0 selects the proxy's configured BatchFanout.
-	Fanout int
-}
-
 // BatchItem is the outcome for one product id of a batch: exactly one of
 // Result or Err is meaningful. Shed marks admission-control rejection
 // (Err wraps ErrLoadShed) so callers can separate overload from failure.
@@ -44,27 +37,25 @@ type BatchResult struct {
 	Items []BatchItem
 }
 
-// QueryPathBatch runs one path query per product id with bounded fan-out and
-// partial-failure semantics. Duplicate ids are deduplicated before dispatch —
-// each distinct (product, quality) is walked and settled exactly once, and
-// every duplicate index shares the winner's Result pointer — so a batch
-// containing an id N times awards reputation once, matching one query.
+// QueryPathBatch runs one path query per product id with fan-out bounded by
+// ProxyConfig.BatchFanout and partial-failure semantics. Duplicate ids are
+// deduplicated before dispatch — each distinct (product, quality) is walked
+// and settled exactly once, and every duplicate index shares the winner's
+// Result pointer — so a batch containing an id N times awards reputation
+// once, matching one query.
 // Distinct products additionally coalesce with any concurrently running
 // queries for the same product via the shard single-flight table.
 //
 // The batch as a whole only errors on invalid arguments; per-id failures
 // (including load sheds) land on their BatchItem.
-func (px *Proxy) QueryPathBatch(ctx context.Context, ids []poc.ProductID, quality Quality, opts BatchOptions) (*BatchResult, error) {
+func (px *Proxy) QueryPathBatch(ctx context.Context, ids []poc.ProductID, quality Quality) (*BatchResult, error) {
 	if quality != Good && quality != Bad {
 		return nil, fmt.Errorf("core: invalid quality %v", quality)
 	}
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
-	fanout := opts.Fanout
-	if fanout <= 0 {
-		fanout = px.cfg.BatchFanout
-	}
+	fanout := px.cfg.BatchFanout
 	ctx, span := trace.Default.Start(ctx, "proxy.query_path_batch",
 		trace.Int("batch_size", len(ids)), trace.String("quality", quality.String()),
 		trace.Int("fanout", fanout))

@@ -89,7 +89,7 @@ func TestBatchEquivalentToSerial(t *testing.T) {
 				}
 				want[i] = canonical(t, r)
 			}
-			batch, err := batched.QueryPathBatch(context.Background(), ids, quality, BatchOptions{})
+			batch, err := batched.QueryPathBatch(context.Background(), ids, quality)
 			if err != nil {
 				t.Fatalf("QueryPathBatch(shards=%d): %v", shards, err)
 			}
@@ -139,7 +139,7 @@ func TestBatchDuplicatesSettleOnce(t *testing.T) {
 		}
 	}
 	px := fx.shardedProxy(t, 3)
-	batch, err := px.QueryPathBatch(context.Background(), ids, Good, BatchOptions{})
+	batch, err := px.QueryPathBatch(context.Background(), ids, Good)
 	if err != nil {
 		t.Fatalf("QueryPathBatch: %v", err)
 	}
@@ -346,10 +346,10 @@ func TestShardRouterDeterministic(t *testing.T) {
 func TestBatchRejectsInvalidInput(t *testing.T) {
 	fx := newFixture(t, 2)
 	px := fx.shardedProxy(t, 2)
-	if _, err := px.QueryPathBatch(context.Background(), nil, Good, BatchOptions{}); err == nil {
+	if _, err := px.QueryPathBatch(context.Background(), nil, Good); err == nil {
 		t.Fatal("empty batch must error")
 	}
-	if _, err := px.QueryPathBatch(context.Background(), []poc.ProductID{"x"}, Quality(9), BatchOptions{}); err == nil {
+	if _, err := px.QueryPathBatch(context.Background(), []poc.ProductID{"x"}, Quality(9)); err == nil {
 		t.Fatal("invalid quality must error")
 	}
 }

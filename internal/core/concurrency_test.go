@@ -54,7 +54,7 @@ func TestConcurrentQueries(t *testing.T) {
 	for _, path := range fx.dist.Ground.Paths {
 		wantEvents += 4 * len(path)
 	}
-	if got := len(fx.proxy.Ledger().Events()); got != wantEvents {
+	if got := len(fx.proxy.Ledger().AuditLog()); got != wantEvents {
 		t.Fatalf("ledger recorded %d events, want %d", got, wantEvents)
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // DefaultBatchFanout bounds how many of a batch's distinct products are in
-// flight at once when BatchOptions.Fanout is left at zero.
+// flight at once when ProxyConfig.BatchFanout is left at zero.
 const DefaultBatchFanout = 8
 
 // ProxyConfig collapses the proxy's construction knobs into one options

@@ -57,7 +57,7 @@ func newFixture(t *testing.T, products int) *fixture {
 		}
 		return m, nil
 	}
-	proxy := NewProxy(ps, reputation.DefaultStrategy(), resolver)
+	proxy := NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, ProxyConfig{})
 	if err := proxy.RegisterList(dist.TaskID, dist.List); err != nil {
 		t.Fatalf("RegisterList: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestMultiDistributionTasks(t *testing.T) {
 		members[v] = NewMember(ps, supplychain.NewParticipant(v))
 	}
 	resolver := func(v poc.ParticipantID) (Responder, error) { return members[v], nil }
-	proxy := NewProxy(ps, reputation.DefaultStrategy(), resolver)
+	proxy := NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, ProxyConfig{})
 
 	tagsA, err := supplychain.MintTags("a", 4)
 	if err != nil {
@@ -345,7 +345,7 @@ func TestUnreachableParticipantRecorded(t *testing.T) {
 		}
 		return fx.members[v], nil
 	}
-	proxy := NewProxy(fx.ps, reputation.DefaultStrategy(), resolver)
+	proxy := NewProxyWithConfig(fx.ps, reputation.DefaultStrategy(), resolver, ProxyConfig{})
 	if err := proxy.RegisterList(fx.dist.TaskID, fx.dist.List); err != nil {
 		t.Fatal(err)
 	}
@@ -372,71 +372,5 @@ func TestStringers(t *testing.T) {
 		if vt.String() == "" {
 			t.Fatalf("violation type %d must render", vt)
 		}
-	}
-}
-
-func TestMemberTaskPersistence(t *testing.T) {
-	// A participant daemon restart: export the task state, rebuild the
-	// member from scratch, import, and keep answering queries that verify
-	// against the POC the proxy already holds.
-	fx := newFixture(t, 4)
-	var productID poc.ProductID
-	var victim poc.ParticipantID
-	for id, path := range fx.dist.Ground.Paths {
-		if len(path) >= 2 {
-			productID = id
-			victim = path[1]
-			break
-		}
-	}
-	state, err := fx.members[victim].ExportTask(fx.dist.TaskID)
-	if err != nil {
-		t.Fatalf("ExportTask: %v", err)
-	}
-
-	reborn := NewMember(fx.ps, supplychain.NewParticipant(victim))
-	if err := reborn.ImportTask(fx.dist.TaskID, state); err != nil {
-		t.Fatalf("ImportTask: %v", err)
-	}
-	fx.members[victim] = reborn
-
-	result, err := fx.proxy.QueryPath(context.Background(), productID, Good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(result.Violations) != 0 || !result.Complete {
-		t.Fatalf("restarted member must answer seamlessly: %+v", result.Violations)
-	}
-	found := false
-	for _, v := range result.Path {
-		if v == victim {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("restarted member %s missing from path %v", victim, result.Path)
-	}
-}
-
-func TestImportTaskValidation(t *testing.T) {
-	fx := newFixture(t, 2)
-	var someone poc.ParticipantID
-	for _, v := range fx.dist.Ground.Involved {
-		someone = v
-		break
-	}
-	state, err := fx.members[someone].ExportTask(fx.dist.TaskID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imposter := NewMember(fx.ps, supplychain.NewParticipant("imposter"))
-	if err := imposter.ImportTask(fx.dist.TaskID, state); err == nil {
-		t.Fatal("importing another participant's state must be rejected")
-	}
-	if err := imposter.ImportTask("t", []byte("garbage")); err == nil {
-		t.Fatal("garbage state must be rejected")
-	}
-	if _, err := fx.members[someone].ExportTask("no-such-task"); err == nil {
-		t.Fatal("exporting an unknown task must error")
 	}
 }

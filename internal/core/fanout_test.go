@@ -61,7 +61,7 @@ func omittingFixture(t *testing.T, products int, fanout int) (*Proxy, *Distribut
 		}
 		return nextOmitter{Responder: m}, nil
 	}
-	proxy := NewProxy(ps, reputation.DefaultStrategy(), resolver, WithProbeFanout(fanout))
+	proxy := NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, ProxyConfig{ProbeFanout: fanout})
 	if err := proxy.RegisterList(dist.TaskID, dist.List); err != nil {
 		t.Fatal(err)
 	}
@@ -137,18 +137,17 @@ func TestProbeFanoutPreservesSerialOutcome(t *testing.T) {
 	}
 }
 
-// TestProbeFanoutOptionBounds pins the option's guard rails.
+// TestProbeFanoutOptionBounds pins the ProbeFanout guard rails: zero and
+// negative values resolve to DefaultProbeFanout, positive ones are kept.
 func TestProbeFanoutOptionBounds(t *testing.T) {
-	px := NewProxy(corePS(t), reputation.DefaultStrategy(), nil)
-	if px.cfg.ProbeFanout != DefaultProbeFanout {
-		t.Fatalf("default fan-out = %d, want %d", px.cfg.ProbeFanout, DefaultProbeFanout)
-	}
-	px = NewProxy(corePS(t), reputation.DefaultStrategy(), nil, WithProbeFanout(0), WithProbeFanout(-3))
-	if px.cfg.ProbeFanout != DefaultProbeFanout {
-		t.Fatalf("non-positive fan-out must keep the default, got %d", px.cfg.ProbeFanout)
-	}
-	px = NewProxy(corePS(t), reputation.DefaultStrategy(), nil, WithProbeFanout(2))
-	if px.cfg.ProbeFanout != 2 {
-		t.Fatalf("fan-out = %d, want 2", px.cfg.ProbeFanout)
+	for _, tc := range []struct{ in, want int }{
+		{0, DefaultProbeFanout},
+		{-3, DefaultProbeFanout},
+		{2, 2},
+	} {
+		px := NewProxyWithConfig(corePS(t), reputation.DefaultStrategy(), nil, ProxyConfig{ProbeFanout: tc.in})
+		if px.cfg.ProbeFanout != tc.want {
+			t.Fatalf("ProbeFanout %d resolved to %d, want %d", tc.in, px.cfg.ProbeFanout, tc.want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -215,64 +214,6 @@ func (m *Member) DemandOwnership(ctx context.Context, taskID string, id poc.Prod
 }
 
 var _ Responder = (*Member)(nil)
-
-// memberTaskState is the serialized image of one task's member state.
-type memberTaskState struct {
-	Credential poc.POC                             `json:"credential"`
-	DPOC       json.RawMessage                     `json:"dpoc"`
-	Next       map[poc.ProductID]poc.ParticipantID `json:"next"`
-}
-
-// ExportTask serializes the member's state for one task — credential, DPOC
-// and next-hop table — so a participant daemon can survive restarts without
-// re-aggregating (which would orphan the POC the proxy already stores). The
-// output contains all of the participant's secrets for the task.
-func (m *Member) ExportTask(taskID string) ([]byte, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	entry, ok := m.tasks[taskID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s at %s", ErrNotCommitted, taskID, m.part.ID())
-	}
-	dpoc, err := json.Marshal(entry.dpoc)
-	if err != nil {
-		return nil, fmt.Errorf("core: exporting task %s: %w", taskID, err)
-	}
-	return json.Marshal(memberTaskState{
-		Credential: entry.credential,
-		DPOC:       dpoc,
-		Next:       entry.next,
-	})
-}
-
-// ImportTask restores task state produced by ExportTask. The imported
-// credential must belong to this member.
-func (m *Member) ImportTask(taskID string, data []byte) error {
-	var state memberTaskState
-	if err := json.Unmarshal(data, &state); err != nil {
-		return fmt.Errorf("core: parsing task state: %w", err)
-	}
-	if state.Credential.Participant != m.part.ID() {
-		return fmt.Errorf("core: task state belongs to %s, not %s",
-			state.Credential.Participant, m.part.ID())
-	}
-	dpoc, err := poc.RestoreDPOC(m.ps, state.DPOC)
-	if err != nil {
-		return fmt.Errorf("core: importing task %s: %w", taskID, err)
-	}
-	next := state.Next
-	if next == nil {
-		next = make(map[poc.ProductID]poc.ParticipantID)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tasks[taskID] = &memberTask{
-		credential: state.Credential,
-		dpoc:       dpoc,
-		next:       next,
-	}
-	return nil
-}
 
 // DistributionResult bundles everything the distribution phase produces.
 type DistributionResult struct {

@@ -21,7 +21,7 @@ func TestPOCQueueSameInitial(t *testing.T) {
 		members[id] = NewMember(ps, p)
 	}
 	resolver := func(v poc.ParticipantID) (Responder, error) { return members[v], nil }
-	proxy := NewProxy(ps, reputation.DefaultStrategy(), resolver)
+	proxy := NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, ProxyConfig{})
 
 	// Three tasks, all starting at p0, each distributing one distinct
 	// product. p0's POC-queue ends with three entries.
@@ -105,7 +105,7 @@ func TestDynamicDigraphAcrossTasks(t *testing.T) {
 		}
 		return m, nil
 	}
-	proxy := NewProxy(ps, reputation.DefaultStrategy(), resolver)
+	proxy := NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, ProxyConfig{})
 
 	tags1, err := supplychain.MintTags("old", 1)
 	if err != nil {

@@ -39,38 +39,6 @@ type Proxy struct {
 // walk loses the named next hop.
 const DefaultProbeFanout = 4
 
-// ProxyOption configures a Proxy.
-//
-// Deprecated: the variadic options are superseded by ProxyConfig, which
-// carries every proxy-tier knob (shards, fan-outs, admission control) in one
-// struct shared by desword-proxy and tests. They remain as thin adapters
-// over the config for existing callers.
-type ProxyOption func(*ProxyConfig)
-
-// WithProbeFanout sets how many candidate children probeChildren interrogates
-// concurrently. 1 restores the fully serial walk; non-positive values keep
-// the default. The observable outcome is identical at any fan-out — see
-// probeChildren.
-//
-// Deprecated: set ProxyConfig.ProbeFanout instead.
-func WithProbeFanout(n int) ProxyOption {
-	return func(cfg *ProxyConfig) {
-		if n > 0 {
-			cfg.ProbeFanout = n
-		}
-	}
-}
-
-// WithEventSink makes the proxy emit one canonical wide event per completed
-// query into the flight recorder. The event is assembled (and attached to
-// Result.Event) with or without a sink; the sink adds the ring/journal
-// destinations.
-//
-// Deprecated: set ProxyConfig.EventSink instead.
-func WithEventSink(s *events.Sink) ProxyOption {
-	return func(cfg *ProxyConfig) { cfg.EventSink = s }
-}
-
 // queueEntry is one element of an initial participant's POC-queue: the pair
 // (ps, POC_v̄) of §IV.D, tagged with the task whose list contains it.
 type queueEntry struct {
@@ -78,22 +46,10 @@ type queueEntry struct {
 	credential poc.POC
 }
 
-// NewProxy creates a single-flavour proxy from the deprecated variadic
-// options. The resolver supplies reachable endpoints for participants; the
-// strategy configures the double-edged award.
-//
-// Deprecated: use NewProxyWithConfig, which exposes the full proxy tier
-// (sharding, batch fan-out, admission control).
-func NewProxy(ps *poc.PublicParams, strategy reputation.Strategy, resolve Resolver, opts ...ProxyOption) *Proxy {
-	var cfg ProxyConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewProxyWithConfig(ps, strategy, resolve, cfg)
-}
-
-// NewProxyWithConfig creates a proxy tier from one options struct. The zero
-// ProxyConfig reproduces the historical single-shard, ungated proxy.
+// NewProxyWithConfig creates a proxy tier from one options struct. The
+// resolver supplies reachable endpoints for participants; the strategy
+// configures the double-edged award. The zero ProxyConfig reproduces the
+// historical single-shard, ungated proxy.
 func NewProxyWithConfig(ps *poc.PublicParams, strategy reputation.Strategy, resolve Resolver, cfg ProxyConfig) *Proxy {
 	resolved := cfg.withDefaults()
 	px := &Proxy{

@@ -43,9 +43,9 @@ func TestSampleAndQuery(t *testing.T) {
 	ledger := fx.proxy.Ledger()
 	scoredBy := make(map[poc.ParticipantID]int)
 	negative := 0
-	for _, e := range ledger.Events() {
-		scoredBy[e.Participant]++
-		if e.Delta < 0 {
+	for _, entry := range ledger.AuditLog() {
+		scoredBy[entry.Event.Participant]++
+		if entry.Event.Delta < 0 {
 			negative++
 		}
 	}

@@ -91,7 +91,7 @@ func TestStatsCountViolations(t *testing.T) {
 		}
 		return members[v], nil
 	}
-	proxy := NewProxy(ps, reputation.DefaultStrategy(), resolver)
+	proxy := NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, ProxyConfig{})
 	if err := proxy.RegisterList("task-s", list); err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,8 @@ func TestEventsSmoke(t *testing.T) {
 	}
 	directory := node.DirectoryResolver(addrs)
 	defer directory.Close()
-	proxy := core.NewProxy(ps, reputation.DefaultStrategy(), directory.Resolver(),
-		core.WithEventSink(sink))
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), directory.Resolver(),
+		core.ProxyConfig{EventSink: sink})
 	proxySrv, err := node.ServeProxy(context.Background(), "127.0.0.1:0", proxy,
 		node.WithEventSink(sink))
 	if err != nil {

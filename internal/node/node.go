@@ -754,7 +754,7 @@ func (s *ProxyServer) handle(ctx context.Context, env *wire.Envelope) (string, a
 			return wire.TypeError, wire.ErrorResponse{Message: fmt.Sprintf(
 				"batch schema %d newer than supported %d", req.Schema, wire.BatchSchemaVersion)}
 		}
-		result, err := s.proxy.QueryPathBatch(ctx, req.Products, core.Quality(req.Quality), core.BatchOptions{})
+		result, err := s.proxy.QueryPathBatch(ctx, req.Products, core.Quality(req.Quality))
 		if err != nil {
 			return wire.TypeError, wire.ErrorResponse{Message: err.Error()}
 		}

@@ -217,7 +217,7 @@ func deployWithLiar(t *testing.T, out **adversary.Dishonest) *deployment {
 		})
 		dir[id] = srv.Addr()
 	}
-	proxy := core.NewProxy(ps, reputation.DefaultStrategy(), DirectoryResolver(dir).Resolver())
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), DirectoryResolver(dir).Resolver(), core.ProxyConfig{})
 	proxySrv, err := ServeProxy(context.Background(), "127.0.0.1:0", proxy)
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,13 @@ package poc
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"desword/internal/zkedb"
+	"desword/internal/zkedb/store"
 )
 
 var _testPS *PublicParams
@@ -225,48 +227,58 @@ func TestListRejectsDuplicatesAndDangling(t *testing.T) {
 	}
 }
 
+// TestDPOCPersistence pins the restart path of a DPOC: aggregate on a file
+// store, close it, and reopen through OpenDPOC. The reopened POC equals the
+// aggregated one, and its proofs verify against it.
 func TestDPOCPersistence(t *testing.T) {
 	ps := testPS(t)
-	traces := sampleTraces("v1", 3)
-	credential, dpoc, err := Agg(ps, "v1", traces, AggOptions{})
+	path := filepath.Join(t.TempDir(), "dpoc.kv")
+	kv, err := store.OpenFile(path, store.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(dpoc)
+	traces := sampleTraces("v1", 3)
+	credential, _, err := Agg(ps, "v1", traces, AggOptions{Commit: zkedb.CommitOptions{Store: kv}})
 	if err != nil {
-		t.Fatalf("marshal DPOC: %v", err)
+		t.Fatal(err)
 	}
-	restored, err := RestoreDPOC(ps, data)
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := store.OpenFile(path, store.FileOptions{})
 	if err != nil {
-		t.Fatalf("restore DPOC: %v", err)
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	got, restored, err := OpenDPOC(ps, "v1", reopened, 0, 0)
+	if err != nil {
+		t.Fatalf("OpenDPOC: %v", err)
+	}
+	if !got.Equal(credential) {
+		t.Fatal("reopened POC differs from the aggregated one")
 	}
 	if restored.Participant != "v1" {
 		t.Fatalf("restored participant = %s", restored.Participant)
 	}
-	// Proofs from the restored DPOC must verify against the original POC.
 	proof, err := restored.Prove(context.Background(), "id-01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Verify(context.Background(), ps, credential, "id-01", proof)
-	if err != nil || got == nil {
+	if tr, err := Verify(context.Background(), ps, got, "id-01", proof); err != nil || tr == nil {
 		t.Fatalf("restored ownership proof failed: %v", err)
 	}
 	absent, err := restored.Prove(context.Background(), "never-processed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Verify(context.Background(), ps, credential, "never-processed", absent); err != nil {
-		t.Fatalf("restored non-ownership proof failed: %v", err)
+	if tr, err := Verify(context.Background(), ps, got, "never-processed", absent); err != nil || tr != nil {
+		t.Fatalf("restored non-ownership proof failed: trace=%v err=%v", tr, err)
 	}
 }
 
-func TestRestoreDPOCRejectsGarbage(t *testing.T) {
-	ps := testPS(t)
-	if _, err := RestoreDPOC(ps, []byte("junk")); err == nil {
-		t.Fatal("garbage must be rejected")
-	}
-	if _, err := RestoreDPOC(ps, []byte(`{"participant":"x","state":{}}`)); err == nil {
-		t.Fatal("empty state must be rejected")
+func TestOpenDPOCRejectsEmptyStore(t *testing.T) {
+	if _, _, err := OpenDPOC(testPS(t), "x", store.NewMem(), 0, 0); !errors.Is(err, zkedb.ErrBadState) {
+		t.Fatalf("OpenDPOC on an empty store = %v, want ErrBadState", err)
 	}
 }

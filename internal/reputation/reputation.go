@@ -66,7 +66,6 @@ type Event struct {
 type Ledger struct {
 	mu     sync.RWMutex
 	scores map[supplychain.ParticipantID]float64 // guarded by mu
-	events []Event                               // guarded by mu
 	audit  []AuditEntry                          // guarded by mu
 }
 
@@ -87,7 +86,6 @@ func (l *Ledger) Adjust(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.scores[e.Participant] += e.Delta
-	l.events = append(l.events, e)
 	var prev [32]byte
 	if n := len(l.audit); n > 0 {
 		prev = l.audit[n-1].Digest
@@ -115,15 +113,6 @@ func (l *Ledger) Scores() map[supplychain.ParticipantID]float64 {
 	for k, v := range l.scores {
 		out[k] = v
 	}
-	return out
-}
-
-// Events returns a copy of the audit log.
-func (l *Ledger) Events() []Event {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
 	return out
 }
 

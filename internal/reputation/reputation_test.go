@@ -19,8 +19,8 @@ func TestLedgerAdjustAndScore(t *testing.T) {
 	if got := l.Score("unknown"); got != 0 {
 		t.Fatalf("unknown participant must score 0, got %v", got)
 	}
-	if len(l.Events()) != 3 {
-		t.Fatalf("Events() = %d entries", len(l.Events()))
+	if got := len(l.AuditLog()); got != 3 {
+		t.Fatalf("AuditLog() = %d entries", got)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestAwardPathUnknownQualityNoop(t *testing.T) {
 	s := DefaultStrategy()
 	l := NewLedger()
 	s.AwardPath(l, "id1", Quality(0), []supplychain.ParticipantID{"a"})
-	if len(l.Events()) != 0 {
+	if len(l.AuditLog()) != 0 {
 		t.Fatal("unknown quality must not award")
 	}
 }
@@ -137,8 +137,8 @@ func TestPenalizeViolation(t *testing.T) {
 	if got := l.Score("cheater"); got != -s.ViolationPenalty {
 		t.Fatalf("Score(cheater) = %v", got)
 	}
-	events := l.Events()
-	if len(events) != 1 || events[0].Reason == "" {
+	log := l.AuditLog()
+	if len(log) != 1 || log[0].Event.Reason == "" {
 		t.Fatal("violation must be recorded with a reason")
 	}
 }

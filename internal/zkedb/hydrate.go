@@ -169,7 +169,8 @@ func (d *Decommitment) putSoft(pk string, entry *softEntry) error {
 // extend soft chains below the commit-time pinned entries on demand).
 // Creation happens under d.mu so concurrent proofs of the same absent key
 // see one consistent chain — repeat queries must answer with the same soft
-// commitments (persist.go explains why). Lazily created entries draw from
+// commitments, or a later answer would contradict one a verifier already
+// holds. Lazily created entries draw from
 // the position-keyed DRBG when the build was seeded, so seeded trees produce
 // identical soft chains on every backend and after every reopen.
 func (d *Decommitment) softAt(prefix []int, st *proveStats) (*softEntry, error) {
@@ -240,8 +241,7 @@ func (d *Decommitment) writeMeta() error {
 // resident hydrated-state cache exactly as CommitOptions.CacheNodes does.
 //
 // The CRS must be the one the tree was committed under: the geometry is
-// checked against the store's metadata, the key material is trusted (as with
-// RestoreDecommitment).
+// checked against the store's metadata, the key material is trusted.
 func OpenDecommitment(crs *CRS, kv store.KV, cacheNodes int) (*Decommitment, error) {
 	pj, ok, err := kv.Get(metaParamsKey)
 	if err != nil {

@@ -1,6 +1,7 @@
 package zkedb
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -84,6 +85,10 @@ func encodeNodeRecord(n *node) []byte {
 	e.writeBigInt(n.qDec.MCDec.R1)
 	return e.buf
 }
+
+// ErrBadState reports a malformed stored decommitment: a node-store record
+// that is missing, truncated, or inconsistent with the tree geometry.
+var ErrBadState = errors.New("zkedb: malformed decommitment state")
 
 // decodeNodeRecord deserializes a node record, validating it against the
 // tree geometry.

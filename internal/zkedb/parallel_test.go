@@ -3,7 +3,6 @@ package zkedb
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -11,7 +10,7 @@ import (
 
 // TestCommitParallelByteIdentical pins the contract that makes the worker
 // pool safe to ship: under a fixed seed, the commitment AND the full
-// decommitment state are byte-for-byte identical at every worker count.
+// node-store image are byte-for-byte identical at every worker count.
 // Position-keyed randomness (drbg.go) is what guarantees this — any code
 // change that makes a randomness draw depend on build order fails here.
 func TestCommitParallelByteIdentical(t *testing.T) {
@@ -29,11 +28,7 @@ func TestCommitParallelByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Commit(workers=%d): %v", workers, err)
 		}
-		decJSON, err := json.Marshal(dec)
-		if err != nil {
-			t.Fatalf("marshal dec (workers=%d): %v", workers, err)
-		}
-		builds[workers] = build{com: com, dec: decJSON}
+		builds[workers] = build{com: com, dec: storeImage(t, dec)}
 	}
 
 	serial := builds[1]
@@ -43,8 +38,17 @@ func TestCommitParallelByteIdentical(t *testing.T) {
 			t.Errorf("workers=%d: commitment differs from serial build", workers)
 		}
 		if !bytes.Equal(serial.dec, got.dec) {
-			t.Errorf("workers=%d: decommitment state differs from serial build", workers)
+			t.Errorf("workers=%d: node-store image differs from serial build", workers)
 		}
+	}
+
+	// The image comparison must be able to fail: another seed, another image.
+	_, other, err := crs.Commit(db, CommitOptions{Workers: 1, Seed: []byte("another-seed")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(serial.dec, storeImage(t, other)) {
+		t.Error("a build under another seed has the same node-store image")
 	}
 }
 

@@ -3,12 +3,10 @@ package zkedb
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"desword/internal/zkedb/store"
@@ -38,6 +36,31 @@ func proveBytes(t *testing.T, dec *Decommitment, key string) []byte {
 		t.Fatalf("MarshalBinary(%q): %v", key, err)
 	}
 	return out
+}
+
+// storeImage returns every record in the decommitment's node store — tree
+// nodes, soft entries, database entries and metadata alike — sorted by key,
+// each key and value length-prefixed. Two trees with equal images hold the
+// same persisted state byte for byte; the byte-identity tests compare it.
+func storeImage(t *testing.T, dec *Decommitment) []byte {
+	t.Helper()
+	kv := dec.Store()
+	keys, err := kv.List("")
+	if err != nil {
+		t.Fatalf("List: %v", err)
+	}
+	var img []byte
+	for _, key := range keys {
+		val, ok, err := kv.Get(key)
+		if err != nil || !ok {
+			t.Fatalf("Get(%q): ok=%v err=%v", key, ok, err)
+		}
+		img = binary.AppendUvarint(img, uint64(len(key)))
+		img = append(img, key...)
+		img = binary.AppendUvarint(img, uint64(len(val)))
+		img = append(img, val...)
+	}
+	return img
 }
 
 // requireSameChain asserts two non-ownership proofs for key show the same
@@ -80,7 +103,7 @@ func requireSameChainProofs(t *testing.T, pa, pb *Proof, key string) {
 // TestCrossBackendByteIdentity pins the backend-transparency invariant: the
 // same seeded database committed into the mem and file backends yields the
 // byte-identical commitment, byte-identical ownership and non-ownership
-// proofs, and the byte-identical serialized decommitment.
+// proofs, and the byte-identical node-store image.
 func TestCrossBackendByteIdentity(t *testing.T) {
 	crs := testCRS(t)
 	db := testDB(9)
@@ -106,29 +129,25 @@ func TestCrossBackendByteIdentity(t *testing.T) {
 	for _, key := range []string{"absent-x", "absent-y"} {
 		requireSameChain(t, memDec, fileDec, key)
 	}
-	memJSON, err := json.Marshal(memDec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fileJSON, err := json.Marshal(fileDec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(memJSON, fileJSON) {
-		t.Fatal("serialized decommitment differs between backends")
+	if !bytes.Equal(storeImage(t, memDec), storeImage(t, fileDec)) {
+		t.Fatal("node-store image differs between backends")
 	}
 }
 
 // TestUpdateMatchesFreshRebuild pins the incremental-commit invariant: a
 // seeded tree updated with a delta — new keys and overwrites alike — reaches
-// the byte-identical commitment, proofs and serialized state of a fresh
-// seeded Commit over the merged database.
+// the byte-identical commitment, proofs and node-store image of a fresh
+// seeded Commit over the merged database, even when a non-ownership proof
+// lazily created soft entries before the update.
 func TestUpdateMatchesFreshRebuild(t *testing.T) {
 	crs := testCRS(t)
 	seed := []byte("update-rebuild-seed")
 	db := testDB(8)
 	_, dec, err := crs.Commit(db, CommitOptions{Seed: seed})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dec.Prove(context.Background(), "still-absent"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,16 +181,8 @@ func TestUpdateMatchesFreshRebuild(t *testing.T) {
 		}
 	}
 	requireSameChain(t, dec, rebuiltDec, "still-absent")
-	updatedJSON, err := json.Marshal(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuiltJSON, err := json.Marshal(rebuiltDec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(updatedJSON, rebuiltJSON) {
-		t.Fatal("serialized state differs between update and rebuild")
+	if !bytes.Equal(storeImage(t, dec), storeImage(t, rebuiltDec)) {
+		t.Fatal("node-store image differs between update and rebuild")
 	}
 }
 
@@ -251,71 +262,134 @@ func TestUpdateEdgeCases(t *testing.T) {
 // TestOpenDecommitmentReopen pins the cold-open path: a file-backed tree
 // closed and reopened through OpenDecommitment proves against the original
 // commitment, lazily and with a bounded cache, and keeps non-ownership soft
-// chains identical across the restart.
+// chains identical across the restart. An unseeded tree draws its soft
+// entries from crypto/rand, so its identical chain shows the lazily created
+// entries were persisted rather than re-derived.
 func TestOpenDecommitmentReopen(t *testing.T) {
 	crs := testCRS(t)
-	db := testDB(7)
-	seed := []byte("reopen-seed")
-	kv, path := openFileStore(t, "reopen.kv")
-	com, dec, err := crs.Commit(db, CommitOptions{Seed: seed, Store: kv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	preRestart, err := dec.Prove(context.Background(), "ghost-key")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kv.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		db   map[string][]byte
+		seed []byte
+	}{
+		{"seeded", testDB(7), []byte("reopen-seed")},
+		{"unseeded", testDB(7), nil},
+		{"empty_database", nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kv, path := openFileStore(t, "reopen.kv")
+			com, dec, err := crs.Commit(tc.db, CommitOptions{Seed: tc.seed, Store: kv})
+			if err != nil {
+				t.Fatal(err)
+			}
+			preRestart, err := dec.Prove(context.Background(), "ghost-key")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	reopened, err := store.OpenFile(path, store.FileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	cold, err := OpenDecommitment(crs, reopened, 8)
-	if err != nil {
-		t.Fatalf("OpenDecommitment: %v", err)
-	}
-	for key, want := range db {
-		proof, err := cold.Prove(context.Background(), key)
-		if err != nil {
-			t.Fatalf("Prove(%q) after reopen: %v", key, err)
-		}
-		value, present, err := crs.Verify(com, key, proof)
-		if err != nil || !present || string(value) != string(want) {
-			t.Fatalf("reopened proof for %q failed: present=%v err=%v", key, present, err)
-		}
-	}
-	postRestart, err := cold.Prove(context.Background(), "ghost-key")
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameChainProofs(t, preRestart, postRestart, "ghost-key")
-	if got := cold.ResidentNodes(); got > 8 {
-		t.Fatalf("ResidentNodes = %d, want <= cache bound 8", got)
+			reopened, err := store.OpenFile(path, store.FileOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			cold, err := OpenDecommitment(crs, reopened, 8)
+			if err != nil {
+				t.Fatalf("OpenDecommitment: %v", err)
+			}
+			for key, want := range tc.db {
+				proof, err := cold.Prove(context.Background(), key)
+				if err != nil {
+					t.Fatalf("Prove(%q) after reopen: %v", key, err)
+				}
+				value, present, err := crs.Verify(com, key, proof)
+				if err != nil || !present || string(value) != string(want) {
+					t.Fatalf("reopened proof for %q failed: present=%v err=%v", key, present, err)
+				}
+			}
+			postRestart, err := cold.Prove(context.Background(), "ghost-key")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, present, err := crs.Verify(com, "ghost-key", postRestart); err != nil || present {
+				t.Fatalf("reopened non-ownership proof failed: present=%v err=%v", present, err)
+			}
+			requireSameChainProofs(t, preRestart, postRestart, "ghost-key")
+			if got := cold.ResidentNodes(); got > 8 {
+				t.Fatalf("ResidentNodes = %d, want <= cache bound 8", got)
+			}
+		})
 	}
 }
 
-// TestOpenDecommitmentRejects pins the failure modes of the cold open:
-// empty stores, wrong geometry.
+// TestOpenDecommitmentRejects pins the failure modes of the cold open: an
+// empty store, a tree committed under another geometry, a truncated root
+// record, and a leaf record in the root position.
 func TestOpenDecommitmentRejects(t *testing.T) {
 	crs := testCRS(t)
-	if _, err := OpenDecommitment(crs, store.NewMem(), 0); err == nil {
-		t.Fatal("OpenDecommitment on empty store succeeded")
-	}
-	otherParams := Params{Q: 16, H: 8, KeyBits: 32, ModulusBits: 512}
-	otherCRS, err := CRSGen(otherParams)
+	otherCRS, err := CRSGen(Params{Q: 16, H: 8, KeyBits: 32, ModulusBits: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv := store.NewMem()
-	if _, _, err := otherCRS.Commit(testDB(3), CommitOptions{Store: kv}); err != nil {
-		t.Fatal(err)
+	committed := func(t *testing.T, under *CRS) store.KV {
+		t.Helper()
+		kv := store.NewMem()
+		if _, _, err := under.Commit(testDB(3), CommitOptions{Store: kv}); err != nil {
+			t.Fatal(err)
+		}
+		return kv
 	}
-	if _, err := OpenDecommitment(crs, kv, 0); err == nil {
-		t.Fatal("OpenDecommitment with mismatched geometry succeeded")
+	for _, tc := range []struct {
+		name string
+		kv   func(t *testing.T) store.KV
+	}{
+		{"empty_store", func(*testing.T) store.KV { return store.NewMem() }},
+		{"mismatched_geometry", func(t *testing.T) store.KV { return committed(t, otherCRS) }},
+		{"truncated_root_record", func(t *testing.T) store.KV {
+			kv := committed(t, crs)
+			rec, _, err := kv.Get(nodeStoreKey(""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.Put(nodeStoreKey(""), rec[:len(rec)/2]); err != nil {
+				t.Fatal(err)
+			}
+			return kv
+		}},
+		{"leaf_record_in_root_position", func(t *testing.T) store.KV {
+			kv := committed(t, crs)
+			keys, err := kv.List(nsNode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range keys {
+				rec, _, err := kv.Get(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, err := decodeNodeRecord(rec, crs.Params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n.leaf {
+					n.level = 0
+					if err := kv.Put(nodeStoreKey(""), encodeNodeRecord(n)); err != nil {
+						t.Fatal(err)
+					}
+					return kv
+				}
+			}
+			t.Fatal("committed tree holds no leaf record")
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := OpenDecommitment(crs, tc.kv(t), 0); !errors.Is(err, ErrBadState) {
+				t.Fatalf("OpenDecommitment = %v, want ErrBadState", err)
+			}
+		})
 	}
 }
 
@@ -329,56 +403,6 @@ func TestCommitRefusesDirtyStore(t *testing.T) {
 	}
 	if _, _, err := crs.Commit(testDB(2), CommitOptions{Store: kv}); !errors.Is(err, ErrStoreInUse) {
 		t.Fatalf("second Commit = %v, want ErrStoreInUse", err)
-	}
-}
-
-// TestSaveFileAtomic pins the snapshot path of satellite durability: the
-// write goes through a temp file and rename, leaves no temp debris, replaces
-// an existing snapshot in place, and the result loads back verifying.
-func TestSaveFileAtomic(t *testing.T) {
-	crs := testCRS(t)
-	db := testDB(5)
-	com, dec, err := crs.Commit(db, CommitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snapshot.json")
-	// Pre-existing stale content must be replaced, not appended or mixed.
-	if err := os.WriteFile(path, []byte("stale"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp-") {
-			t.Fatalf("temp file left behind: %s", e.Name())
-		}
-	}
-	if len(entries) != 1 {
-		t.Fatalf("expected only the snapshot in %s, found %d entries", dir, len(entries))
-	}
-	loaded, err := LoadDecommitmentFile(crs, path)
-	if err != nil {
-		t.Fatalf("LoadDecommitmentFile: %v", err)
-	}
-	proof, err := loaded.Prove(context.Background(), "product-002")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, present, err := crs.Verify(com, "product-002", proof); err != nil || !present {
-		t.Fatalf("loaded snapshot proof failed: present=%v err=%v", present, err)
-	}
-
-	// Failure path: an unwritable target directory errors without leaving
-	// temp debris next to the destination.
-	if err := dec.SaveFile(filepath.Join(dir, "missing-subdir", "x.json")); err == nil {
-		t.Fatal("SaveFile into missing directory succeeded")
 	}
 }
 

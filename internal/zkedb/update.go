@@ -56,8 +56,9 @@ func updateMetrics(backend string) *obs.Histogram {
 // Update is not crash-atomic on a file store: a crash mid-update can leave
 // the tree between versions (batches auto-commit when full). A reopened
 // store remains structurally valid — every committed batch is internally
-// consistent — but callers that need all-or-nothing task registration
-// should snapshot (SaveFile) before updating.
+// consistent — so callers that need all-or-nothing task registration must
+// compare a reopened tree's commitment with the registered POC and re-commit
+// on a mismatch.
 func (d *Decommitment) Update(ctx context.Context, delta map[string][]byte) (Commitment, error) {
 	_, span := trace.Default.StartChild(ctx, "zkedb.update",
 		trace.Int("keys", len(delta)),

@@ -283,7 +283,7 @@ type Decommitment struct {
 	kv   store.KV
 	seed []byte
 
-	// treeMu orders tree mutation against readers: Prove and MarshalJSON
+	// treeMu orders tree mutation against readers: Prove and Commitment
 	// hold it shared, Update exclusively.
 	treeMu sync.RWMutex
 
