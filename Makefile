@@ -74,13 +74,14 @@ events-smoke:
 store-smoke:
 	$(GO) test -run '^TestStoreSmoke$$' -count=1 -v ./internal/zkedb
 
-# saturation-smoke runs a miniature E14 end to end (see TestSaturationSmoke):
-# open-loop load against sharded and unsharded proxy deployments over real
-# TCP, then assertions on the recorded JSON report — per-shard walk counters
+# saturation-smoke runs a miniature E14 end to end (see TestSaturationSmoke)
+# under the race detector: open-loop load against one proxy over real TCP,
+# then assertions on the recorded JSON report — walks plus coalesced joins
 # account for every completed query, and the forced-overload pass actually
-# shed through the admission gate.
+# shed through the admission gate. It is the only test that drives
+# coalescing and admission open-loop with duplicate products in flight.
 saturation-smoke:
-	$(GO) test -run '^TestSaturationSmoke$$' -count=1 -v ./internal/bench
+	$(GO) test -race -run '^TestSaturationSmoke$$' -count=1 -v ./internal/bench
 
 # lint is the correctness gate beyond tier-1: the project analyzers
 # (desword-vet, see DESIGN.md §9) run through go vet's unitchecker driver

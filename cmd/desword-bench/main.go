@@ -53,7 +53,7 @@ type renderer interface {
 func run() error {
 	var (
 		exp        = flag.String("exp", "all", "experiment: all|tmc|fig4a|fig4b|table2|fig5|baseline|incentive|e2e|transport|crypto|telemetry|events|ablation|store|saturation")
-		satOut     = flag.String("saturation-out", "BENCH_saturation.json", "write the E14 machine-readable report (p50/p99 vs offered load, shed counters, per-shard stats) to this JSON file")
+		satOut     = flag.String("saturation-out", "BENCH_saturation.json", "write the E14 machine-readable report (p50/p99 vs offered load, shed counters, walks and coalesced joins) to this JSON file")
 		modulus    = flag.Int("modulus", 1024, "RSA modulus bits for the qTMC layer")
 		reps       = flag.Int("reps", 10, "repetitions per timing point (paper smooths over 50)")
 		dbSize     = flag.Int("db", 8, "committed traces per participant in macro benches")
@@ -206,22 +206,20 @@ func run() error {
 			return nil
 		}},
 		{"saturation", func() error {
-			// E14 measures the proxy tier (shard routing, coalescing,
-			// admission), not the crypto: test-size ZK-EDB parameters keep
-			// per-hop proof cost small so the offered-load sweep saturates
-			// queueing, not modular exponentiation.
+			// E14 measures the proxy tier (coalescing, admission), not the
+			// crypto: test-size ZK-EDB parameters keep per-hop proof cost
+			// small so the offered-load sweep saturates queueing, not modular
+			// exponentiation. The top levels pass the one-proxy plateau.
 			params := zkedb.TestParams()
-			shardCounts := []int{1, 4}
-			qpsLevels := []int{50, 200, 800}
+			qpsLevels := []int{50, 200, 800, 1600, 3200}
 			chainLen, products := 4, 32
 			duration := 2 * time.Second
 			if *fast {
-				shardCounts = []int{1, 2}
 				qpsLevels = []int{50, 200}
 				chainLen, products = 3, 16
 				duration = 500 * time.Millisecond
 			}
-			return render(bench.RunSaturation(params, shardCounts, qpsLevels, chainLen, products, duration, *satOut))
+			return render(bench.RunSaturation(params, qpsLevels, chainLen, products, duration, *satOut))
 		}},
 	}
 

@@ -178,8 +178,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	logger.Info("proxy listening", "addr", srv.Addr(), "participants", len(dir),
-		"shards", proxy.Config().Shards)
+	logger.Info("proxy listening", "addr", srv.Addr(), "participants", len(dir))
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

@@ -20,9 +20,10 @@ import (
 
 // This file implements experiment E14: proxy-tier saturation. An open-loop
 // generator offers a fixed query rate against a real TCP deployment and
-// records p50/p99 latency, achieved throughput, and load sheds — sharded vs
-// unsharded — then repeats one deliberately overloaded level against a
-// minimal admission gate, so the shedding path itself lands in the record.
+// records p50/p99 latency, achieved throughput, load sheds, and how many
+// queries the proxy walked versus coalesced onto a concurrent walk, then
+// repeats one deliberately overloaded level against a minimal admission
+// gate, so the shedding path itself lands in the record.
 
 // SaturationReport is the machine-readable E14 record (BENCH_saturation.json).
 type SaturationReport struct {
@@ -33,15 +34,16 @@ type SaturationReport struct {
 	Runs       []SaturationRun `json:"runs"`
 }
 
-// SaturationRun is one proxy deployment (shard count + admission gate) swept
-// across the offered-load levels.
+// SaturationRun is one proxy deployment (admission gate) swept across the
+// offered-load levels. Walks counts the walks the proxy ran and Coalesced
+// the queries it served by joining a concurrent walk for the same product.
 type SaturationRun struct {
-	Shards           int               `json:"shards"`
 	AdmissionWorkers int               `json:"admission_workers"`
 	AdmissionQueue   int               `json:"admission_queue"`
 	Forced           bool              `json:"forced_overload,omitempty"`
 	Points           []SaturationPoint `json:"points"`
-	ShardStats       []core.ShardStats `json:"shard_stats"`
+	Walks            uint64            `json:"walks"`
+	Coalesced        uint64            `json:"coalesced"`
 }
 
 // SaturationPoint is one offered-load level: latency quantiles over the
@@ -160,7 +162,6 @@ func runSaturationLevel(client *node.ProxyClient, products []poc.ProductID, qps 
 // sweeps it across the offered-load levels.
 func runSaturationRun(fx *saturationFixture, cfg core.ProxyConfig, qpsLevels []int, duration time.Duration, forced bool) (run SaturationRun, err error) {
 	run = SaturationRun{
-		Shards:           cfg.Shards,
 		AdmissionWorkers: cfg.AdmissionWorkers,
 		AdmissionQueue:   cfg.AdmissionQueue,
 		Forced:           forced,
@@ -191,21 +192,22 @@ func runSaturationRun(fx *saturationFixture, cfg core.ProxyConfig, qpsLevels []i
 	for _, qps := range qpsLevels {
 		run.Points = append(run.Points, runSaturationLevel(client, fx.products, qps, duration))
 	}
-	run.ShardStats = proxy.ShardStats()
+	stats := proxy.ShardStats()[0]
+	run.Walks, run.Coalesced = stats.Queries, stats.Coalesced
 	return run, nil
 }
 
-// RunSaturation runs E14: every shard count over every offered-load level
-// behind a generous admission gate, then one forced-overload pass (one
-// admission worker, no waiting room) that guarantees the shedding path is
-// exercised and recorded. When outPath is non-empty the machine-readable
-// report lands there as JSON.
-func RunSaturation(params zkedb.Params, shardCounts, qpsLevels []int, chain, products int, duration time.Duration, outPath string) (*Table, error) {
+// RunSaturation runs E14: one proxy over every offered-load level behind a
+// generous admission gate, then one forced-overload pass (one admission
+// worker, no waiting room) that guarantees the shedding path is exercised
+// and recorded. When outPath is non-empty the machine-readable report lands
+// there as JSON.
+func RunSaturation(params zkedb.Params, qpsLevels []int, chain, products int, duration time.Duration, outPath string) (*Table, error) {
 	t := &Table{
-		Title: "E14: proxy saturation — latency vs offered load, sharded vs unsharded",
-		Note: fmt.Sprintf("chain=%d products=%d, open-loop %s per level over TCP (localhost); final row forces overload through a 1-worker gate",
+		Title: "E14: proxy saturation — latency vs offered load",
+		Note: fmt.Sprintf("chain=%d products=%d, open-loop %s per level over TCP (localhost); final row forces overload through a 1-worker gate; walks and coalesced joins are per run",
 			chain, products, duration),
-		Headers: []string{"shards", "offered qps", "achieved qps", "p50", "p99", "shed", "errors"},
+		Headers: []string{"run", "offered qps", "achieved qps", "p50", "p99", "shed", "errors", "walks", "coalesced"},
 	}
 	fx, err := newSaturationFixture(params, chain, products)
 	if err != nil {
@@ -220,29 +222,25 @@ func RunSaturation(params zkedb.Params, shardCounts, qpsLevels []int, chain, pro
 		DurationMS: duration.Milliseconds(),
 	}
 	addRows := func(run SaturationRun) {
-		label := fmt.Sprint(run.Shards)
+		label := "proxy"
 		if run.Forced {
-			label += " (forced)"
+			label = "forced"
 		}
 		for _, p := range run.Points {
 			t.AddRow(label, fmt.Sprint(p.OfferedQPS), fmt.Sprintf("%.0f", p.AchievedQPS),
 				fmt.Sprintf("%.2f ms", p.P50MS), fmt.Sprintf("%.2f ms", p.P99MS),
-				fmt.Sprint(p.Shed), fmt.Sprint(p.Errors))
+				fmt.Sprint(p.Shed), fmt.Sprint(p.Errors), fmt.Sprint(run.Walks), fmt.Sprint(run.Coalesced))
 		}
 	}
-	for _, shards := range shardCounts {
-		cfg := core.ProxyConfig{Shards: shards, AdmissionWorkers: 32, AdmissionQueue: 64}
-		run, err := runSaturationRun(fx, cfg, qpsLevels, duration, false)
-		if err != nil {
-			return nil, fmt.Errorf("bench: saturation shards=%d: %w", shards, err)
-		}
-		report.Runs = append(report.Runs, run)
-		addRows(run)
+	run, err := runSaturationRun(fx, core.ProxyConfig{AdmissionWorkers: 32, AdmissionQueue: 64}, qpsLevels, duration, false)
+	if err != nil {
+		return nil, fmt.Errorf("bench: saturation: %w", err)
 	}
+	report.Runs = append(report.Runs, run)
+	addRows(run)
 	// Forced overload: one worker, no waiting room — any overlap sheds.
-	maxShards := shardCounts[len(shardCounts)-1]
 	maxQPS := qpsLevels[len(qpsLevels)-1]
-	forcedCfg := core.ProxyConfig{Shards: maxShards, AdmissionWorkers: 1, AdmissionQueue: -1}
+	forcedCfg := core.ProxyConfig{AdmissionWorkers: 1, AdmissionQueue: -1}
 	forced, err := runSaturationRun(fx, forcedCfg, []int{maxQPS}, duration, true)
 	if err != nil {
 		return nil, fmt.Errorf("bench: saturation forced overload: %w", err)

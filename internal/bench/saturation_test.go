@@ -11,23 +11,21 @@ import (
 )
 
 // TestSaturationSmoke runs a miniature E14 end to end: a real TCP
-// deployment, open-loop load at two levels, sharded and unsharded proxies,
-// and a forced-overload pass. It then re-reads the JSON report the run
-// recorded and asserts the two signals the experiment exists for: the shed
-// counters fired, and the per-shard metrics show the partition actually
-// spreading work.
+// deployment, open-loop load at two levels, and a forced-overload pass. It
+// then re-reads the JSON report the run recorded and asserts the two signals
+// the experiment exists for: every completed query is accounted for by a
+// walk or a coalesced join, and the shed counters fired.
 func TestSaturationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturation smoke drives a TCP deployment")
 	}
 	out := filepath.Join(t.TempDir(), "BENCH_saturation.json")
-	table, err := RunSaturation(zkedb.TestParams(), []int{1, 2}, []int{50, 200}, 3, 16,
-		300*time.Millisecond, out)
+	table, err := RunSaturation(zkedb.TestParams(), []int{50, 200}, 3, 16, 300*time.Millisecond, out)
 	if err != nil {
 		t.Fatalf("RunSaturation: %v", err)
 	}
-	if len(table.Rows) != 5 { // 2 shard counts × 2 levels + 1 forced
-		t.Fatalf("table has %d rows, want 5", len(table.Rows))
+	if len(table.Rows) != 3 { // 2 levels + 1 forced
+		t.Fatalf("table has %d rows, want 3", len(table.Rows))
 	}
 
 	data, err := os.ReadFile(out)
@@ -38,52 +36,34 @@ func TestSaturationSmoke(t *testing.T) {
 	if err := json.Unmarshal(data, &report); err != nil {
 		t.Fatalf("parsing report: %v", err)
 	}
-	if len(report.Runs) != 3 {
-		t.Fatalf("report has %d runs, want 3", len(report.Runs))
+	if len(report.Runs) != 2 {
+		t.Fatalf("report has %d runs, want 2", len(report.Runs))
 	}
 
-	// Every non-forced level must have completed real queries.
-	for _, run := range report.Runs[:2] {
-		for _, p := range run.Points {
-			if p.Done == 0 {
-				t.Fatalf("shards=%d qps=%d completed no queries", run.Shards, p.OfferedQPS)
-			}
-			if p.P50MS <= 0 || p.P99MS < p.P50MS {
-				t.Fatalf("shards=%d qps=%d quantiles p50=%v p99=%v", run.Shards, p.OfferedQPS, p.P50MS, p.P99MS)
-			}
+	// Every non-forced level must have completed real queries, and the walks
+	// plus the coalesced joins (which ride a leader's walk) must account for
+	// every one of them.
+	run := report.Runs[0]
+	var done uint64
+	for _, p := range run.Points {
+		if p.Done == 0 {
+			t.Fatalf("qps=%d completed no queries", p.OfferedQPS)
 		}
-	}
-
-	// The 2-shard run's per-shard metrics must show the partition at work:
-	// two shard entries whose led walks sum to every completed query (minus
-	// coalesced joins, which ride a leader's walk).
-	sharded := report.Runs[1]
-	if sharded.Shards != 2 || len(sharded.ShardStats) != 2 {
-		t.Fatalf("sharded run stats = %+v", sharded.ShardStats)
-	}
-	var walks, coalesced, done uint64
-	for _, s := range sharded.ShardStats {
-		walks += s.Queries
-		coalesced += s.Coalesced
-	}
-	for _, p := range sharded.Points {
+		if p.P50MS <= 0 || p.P99MS < p.P50MS {
+			t.Fatalf("qps=%d quantiles p50=%v p99=%v", p.OfferedQPS, p.P50MS, p.P99MS)
+		}
 		done += uint64(p.Done)
 	}
-	if walks == 0 {
-		t.Fatal("sharded run led no walks")
+	if run.Walks == 0 {
+		t.Fatal("run led no walks")
 	}
-	if walks+coalesced != done {
-		t.Fatalf("walks(%d) + coalesced(%d) != done(%d)", walks, coalesced, done)
-	}
-	for _, s := range sharded.ShardStats {
-		if s.Queries == 0 {
-			t.Fatalf("shard %d never led a walk: %+v", s.Shard, sharded.ShardStats)
-		}
+	if run.Walks+run.Coalesced != done {
+		t.Fatalf("walks(%d) + coalesced(%d) != done(%d)", run.Walks, run.Coalesced, done)
 	}
 
 	// The forced-overload pass (one admission worker, no waiting room, max
 	// offered load) must have shed.
-	forced := report.Runs[2]
+	forced := report.Runs[1]
 	if !forced.Forced {
 		t.Fatal("final run is not the forced-overload pass")
 	}

@@ -96,7 +96,7 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 	case g.slots <- struct{}{}:
 		g.admitted.Inc()
 		g.wait.Observe(0)
-		return g.releaseFunc(start), nil
+		return g.releaseFunc(), nil
 	default:
 	}
 	// Every worker is busy: decide whether to wait. The queue is bounded,
@@ -124,7 +124,7 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 	case g.slots <- struct{}{}:
 		g.admitted.Inc()
 		g.wait.ObserveSince(start)
-		return g.releaseFunc(start), nil
+		return g.releaseFunc(), nil
 	case <-ctx.Done():
 		g.shedDL.Inc()
 		return nil, fmt.Errorf("%w: %w while queued", ErrLoadShed, ctx.Err())
@@ -142,10 +142,13 @@ func (g *Gate) predictWait(waiters int64) time.Duration {
 }
 
 // releaseFunc frees the caller's slot and feeds the observed service time
-// into the EWMA that drives the deadline-aware drop.
-func (g *Gate) releaseFunc(start time.Time) func() {
+// into the EWMA that drives the deadline-aware drop. Service time runs from
+// admission, not arrival: predictWait adds the queue on top of it, so time
+// spent waiting must not leak into the per-request estimate.
+func (g *Gate) releaseFunc() func() {
+	admitted := time.Now()
 	return func() {
-		us := time.Since(start).Microseconds()
+		us := time.Since(admitted).Microseconds()
 		prev := g.ewmaUS.Load()
 		if prev == 0 {
 			g.ewmaUS.Store(us)

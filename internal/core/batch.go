@@ -11,10 +11,9 @@ import (
 
 // This file is the proxy's batch query API. A batch is the first-class unit:
 // QueryPath is the batch=1 case of the same options-driven path (admission,
-// shard routing, coalescing, walk), so there is exactly one code path to
-// reason about. Batches have partial-failure semantics — each product id
-// carries its own result, error, or shed marker; one bad id never fails its
-// neighbours.
+// coalescing, walk), so there is exactly one code path to reason about.
+// Batches have partial-failure semantics — each product id carries its own
+// result, error, or shed marker; one bad id never fails its neighbours.
 
 // BatchItem is the outcome for one product id of a batch: exactly one of
 // Result or Err is meaningful. Shed marks admission-control rejection
@@ -44,7 +43,7 @@ type BatchResult struct {
 // Result pointer — so a batch containing an id N times awards reputation
 // once, matching one query.
 // Distinct products additionally coalesce with any concurrently running
-// queries for the same product via the shard single-flight table.
+// queries for the same product via the proxy's single-flight table.
 //
 // The batch as a whole only errors on invalid arguments; per-id failures
 // (including load sheds) land on their BatchItem.

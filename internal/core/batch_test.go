@@ -41,20 +41,25 @@ func canonical(t *testing.T, r *Result) string {
 	return string(b)
 }
 
-// shardedProxy builds a second proxy over the fixture's deployment with the
-// given shard count; members answer from committed DPOCs, so any number of
-// proxies can query the same deployment.
-func (fx *fixture) shardedProxy(t *testing.T, shards int) *Proxy {
+// freshProxy builds another proxy over the fixture's deployment; members
+// answer from committed DPOCs, so any number of proxies can query the same
+// deployment.
+func (fx *fixture) freshProxy(t *testing.T) *Proxy {
 	t.Helper()
-	resolver := func(v poc.ParticipantID) (Responder, error) {
+	return fx.proxyWith(t, func(v poc.ParticipantID) (Responder, error) {
 		m, ok := fx.members[v]
 		if !ok {
 			return nil, fmt.Errorf("no member %s", v)
 		}
 		return m, nil
-	}
-	px := NewProxyWithConfig(fx.ps, reputation.DefaultStrategy(), resolver,
-		ProxyConfig{Shards: shards})
+	}, ProxyConfig{})
+}
+
+// proxyWith builds a proxy with the fixture's list registered, answering
+// through resolve.
+func (fx *fixture) proxyWith(t *testing.T, resolve Resolver, cfg ProxyConfig) *Proxy {
+	t.Helper()
+	px := NewProxyWithConfig(fx.ps, reputation.DefaultStrategy(), resolve, cfg)
 	if err := px.RegisterList(fx.dist.TaskID, fx.dist.List); err != nil {
 		t.Fatalf("RegisterList: %v", err)
 	}
@@ -72,51 +77,48 @@ func sortedProducts(fx *fixture) []poc.ProductID {
 
 // TestBatchEquivalentToSerial pins the batch API's core contract: a batch of
 // N ids returns byte-identical per-id results and an identical reputation
-// table to N serial QueryPath calls, at any shard count.
+// table to N serial QueryPath calls.
 func TestBatchEquivalentToSerial(t *testing.T) {
 	fx := newFixture(t, 8)
 	ids := sortedProducts(fx)
 	for _, quality := range []Quality{Good, Bad} {
-		for _, shards := range []int{1, 2, 3, 5} {
-			serial := fx.shardedProxy(t, 1)
-			batched := fx.shardedProxy(t, shards)
+		serial := fx.freshProxy(t)
+		batched := fx.freshProxy(t)
 
-			want := make([]string, len(ids))
-			for i, id := range ids {
-				r, err := serial.QueryPath(context.Background(), id, quality)
-				if err != nil {
-					t.Fatalf("serial QueryPath(%s): %v", id, err)
-				}
-				want[i] = canonical(t, r)
-			}
-			batch, err := batched.QueryPathBatch(context.Background(), ids, quality)
+		want := make([]string, len(ids))
+		for i, id := range ids {
+			r, err := serial.QueryPath(context.Background(), id, quality)
 			if err != nil {
-				t.Fatalf("QueryPathBatch(shards=%d): %v", shards, err)
+				t.Fatalf("serial QueryPath(%s): %v", id, err)
 			}
-			if len(batch.Items) != len(ids) {
-				t.Fatalf("batch returned %d items, want %d", len(batch.Items), len(ids))
+			want[i] = canonical(t, r)
+		}
+		batch, err := batched.QueryPathBatch(context.Background(), ids, quality)
+		if err != nil {
+			t.Fatalf("QueryPathBatch: %v", err)
+		}
+		if len(batch.Items) != len(ids) {
+			t.Fatalf("batch returned %d items, want %d", len(batch.Items), len(ids))
+		}
+		// batch.TraceID is empty unless the batch span was sampled — the
+		// same contract as Result.TraceID on single queries.
+		for i, item := range batch.Items {
+			if item.Err != nil {
+				t.Fatalf("batch item %s errored: %v", item.Product, item.Err)
 			}
-			// batch.TraceID is empty unless the batch span was sampled —
-			// the same contract as Result.TraceID on single queries.
-			for i, item := range batch.Items {
-				if item.Err != nil {
-					t.Fatalf("batch item %s errored: %v", item.Product, item.Err)
-				}
-				if got := canonical(t, item.Result); got != want[i] {
-					t.Errorf("shards=%d quality=%v product=%s:\n batch  %s\n serial %s",
-						shards, quality, ids[i], got, want[i])
-				}
+			if got := canonical(t, item.Result); got != want[i] {
+				t.Errorf("quality=%v product=%s:\n batch  %s\n serial %s",
+					quality, ids[i], got, want[i])
 			}
-			wantScores := serial.Scores()
-			gotScores := batched.Scores()
-			if len(wantScores) != len(gotScores) {
-				t.Fatalf("score table sizes differ: %d vs %d", len(gotScores), len(wantScores))
-			}
-			for v, s := range wantScores {
-				if gotScores[v] != s {
-					t.Errorf("shards=%d quality=%v score[%s] = %v, want %v",
-						shards, quality, v, gotScores[v], s)
-				}
+		}
+		wantScores := serial.Scores()
+		gotScores := batched.Scores()
+		if len(wantScores) != len(gotScores) {
+			t.Fatalf("score table sizes differ: %d vs %d", len(gotScores), len(wantScores))
+		}
+		for v, s := range wantScores {
+			if gotScores[v] != s {
+				t.Errorf("quality=%v score[%s] = %v, want %v", quality, v, gotScores[v], s)
 			}
 		}
 	}
@@ -132,13 +134,13 @@ func TestBatchDuplicatesSettleOnce(t *testing.T) {
 	for _, id := range distinct {
 		ids = append(ids, id, id, id)
 	}
-	reference := fx.shardedProxy(t, 1)
+	reference := fx.freshProxy(t)
 	for _, id := range distinct {
 		if _, err := reference.QueryPath(context.Background(), id, Good); err != nil {
 			t.Fatalf("reference QueryPath(%s): %v", id, err)
 		}
 	}
-	px := fx.shardedProxy(t, 3)
+	px := fx.freshProxy(t)
 	batch, err := px.QueryPathBatch(context.Background(), ids, Good)
 	if err != nil {
 		t.Fatalf("QueryPathBatch: %v", err)
@@ -158,16 +160,21 @@ func TestBatchDuplicatesSettleOnce(t *testing.T) {
 		}
 	}
 	stats := px.ShardStats()
-	var walks, coalesced uint64
-	for _, s := range stats {
-		walks += s.Queries
-		coalesced += s.Coalesced
+	if len(stats) != 1 {
+		t.Fatalf("ShardStats returned %d snapshots, want 1", len(stats))
 	}
-	if walks != uint64(len(distinct)) {
-		t.Errorf("shards led %d walks, want %d (one per distinct id)", walks, len(distinct))
+	if stats[0].Queries != uint64(len(distinct)) {
+		t.Errorf("proxy ran %d walks, want %d (one per distinct id)", stats[0].Queries, len(distinct))
 	}
-	if coalesced != 0 {
-		t.Errorf("pre-dispatch dedup should leave nothing to coalesce, got %d", coalesced)
+	if stats[0].Coalesced != 0 {
+		t.Errorf("pre-dispatch dedup should leave nothing to coalesce, got %d", stats[0].Coalesced)
+	}
+	chains := px.AuditShards()
+	if len(chains) != 1 || chains[0].Count != stats[0].AuditEntries {
+		t.Fatalf("AuditShards = %d chains, want 1 pinning %d entries", len(chains), stats[0].AuditEntries)
+	}
+	if _, err := reputation.VerifyShardChains(chains); err != nil {
+		t.Fatalf("VerifyShardChains: %v", err)
 	}
 }
 
@@ -190,10 +197,7 @@ func TestCoalescedConcurrentQueriesSettleOnce(t *testing.T) {
 		}
 		return m, nil
 	}
-	px := NewProxyWithConfig(fx.ps, reputation.DefaultStrategy(), blockingResolve, ProxyConfig{})
-	if err := px.RegisterList(fx.dist.TaskID, fx.dist.List); err != nil {
-		t.Fatalf("RegisterList: %v", err)
-	}
+	px := fx.proxyWith(t, blockingResolve, ProxyConfig{})
 
 	const followers = 4
 	results := make([]*Result, followers+1)
@@ -209,14 +213,10 @@ func TestCoalescedConcurrentQueriesSettleOnce(t *testing.T) {
 	// Wait until all five are either leading (blocked in resolve) or parked
 	// on the flight, then release the leader.
 	deadline := time.After(5 * time.Second)
-	for {
-		stats := px.ShardStats()
-		if stats[0].Coalesced == followers {
-			break
-		}
+	for px.nCoalesced.Load() != followers {
 		select {
 		case <-deadline:
-			t.Fatalf("followers never joined the flight: %+v", stats)
+			t.Fatalf("followers never joined the flight: %d joined", px.nCoalesced.Load())
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -243,6 +243,106 @@ func TestCoalescedConcurrentQueriesSettleOnce(t *testing.T) {
 	}
 	if _, count := px.Ledger().Head(); count != 2*uint64(len(results[0].Path)) {
 		t.Fatalf("serial repeat did not settle: %d events", count)
+	}
+}
+
+// stallFirst answers through its member, except that the first query across
+// every participant sharing once parks until its caller's context ends.
+type stallFirst struct {
+	*Member
+	once    *sync.Once
+	entered chan struct{}
+}
+
+func (s stallFirst) Query(ctx context.Context, taskID string, id poc.ProductID, quality Quality) (*Response, error) {
+	first := false
+	s.once.Do(func() {
+		first = true
+		close(s.entered)
+	})
+	if first {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return s.Member.Query(ctx, taskID, id, quality)
+}
+
+// TestCancelledLeaderDoesNotSettle pins the coalescing takeover: a walk
+// whose caller went away returns context.Canceled and settles nothing — its
+// failed hop says nothing about the participant — and a follower with a live
+// context retries as leader and gets the full answer.
+func TestCancelledLeaderDoesNotSettle(t *testing.T) {
+	fx := newFixture(t, 2)
+	id := sortedProducts(fx)[0]
+	entered := make(chan struct{})
+	var once sync.Once
+	sink := events.NewSink("test", events.NewRing(64), nil)
+	px := fx.proxyWith(t, func(v poc.ParticipantID) (Responder, error) {
+		m, ok := fx.members[v]
+		if !ok {
+			return nil, fmt.Errorf("no member %s", v)
+		}
+		return stallFirst{Member: m, once: &once, entered: entered}, nil
+	}, ProxyConfig{EventSink: sink})
+
+	type answer struct {
+		result *Result
+		err    error
+	}
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader, follower := make(chan answer, 1), make(chan answer, 1)
+	go func() {
+		r, err := px.QueryPath(leaderCtx, id, Good)
+		leader <- answer{r, err}
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("leader never reached its first participant")
+	}
+	go func() {
+		r, err := px.QueryPath(context.Background(), id, Good)
+		follower <- answer{r, err}
+	}()
+	deadline := time.After(5 * time.Second)
+	for px.nCoalesced.Load() != 1 {
+		select {
+		case <-deadline:
+			t.Fatal("follower never joined the leader's flight")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+
+	if got := <-leader; !errors.Is(got.err, context.Canceled) {
+		t.Fatalf("cancelled leader returned (%+v, %v), want context.Canceled", got.result, got.err)
+	}
+	got := <-follower
+	if got.err != nil {
+		t.Fatalf("follower: %v", got.err)
+	}
+	fresh, err := fx.freshProxy(t).QueryPath(context.Background(), id, Good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.result.Complete || canonical(t, got.result) != canonical(t, fresh) {
+		t.Fatalf("follower took over with\n %s\nwant\n %s", canonical(t, got.result), canonical(t, fresh))
+	}
+	entries := px.Ledger().AuditLog()
+	if len(entries) != len(fresh.Path) {
+		t.Fatalf("ledger holds %d events, want one path's %d awards", len(entries), len(fresh.Path))
+	}
+	for _, e := range entries {
+		if e.Event.Delta <= 0 {
+			t.Fatalf("cancelled walk settled a penalty: %+v", e.Event)
+		}
+	}
+	// The journal still accounts for both walks.
+	for outcome, want := range map[events.Outcome]int{events.OutcomeError: 1, events.OutcomeComplete: 1} {
+		if n := len(sink.Ring().Query(events.Filter{Kind: events.KindQuery, Outcome: outcome}, 10)); n != want {
+			t.Fatalf("%d query events with outcome %s, want %d", n, outcome, want)
+		}
 	}
 }
 
@@ -278,12 +378,8 @@ func TestAdmissionShedsInsteadOfTimingOut(t *testing.T) {
 	ids := sortedProducts(fx)
 	blocked := &blockedResponder{entered: make(chan struct{}), release: make(chan struct{})}
 	sink := events.NewSink("test", events.NewRing(64), nil)
-	px := NewProxyWithConfig(fx.ps, reputation.DefaultStrategy(),
-		func(poc.ParticipantID) (Responder, error) { return blocked, nil },
+	px := fx.proxyWith(t, func(poc.ParticipantID) (Responder, error) { return blocked, nil },
 		ProxyConfig{AdmissionWorkers: 1, AdmissionQueue: -1, EventSink: sink})
-	if err := px.RegisterList(fx.dist.TaskID, fx.dist.List); err != nil {
-		t.Fatalf("RegisterList: %v", err)
-	}
 
 	// Occupy the single worker: this query blocks inside the walk, holding
 	// its gate slot. entered closing proves it is past the gate.
@@ -321,31 +417,10 @@ func TestAdmissionShedsInsteadOfTimingOut(t *testing.T) {
 	<-done
 }
 
-// TestShardRouterDeterministic pins the routing function: the owner of an id
-// depends only on (id, N), never on instance or history.
-func TestShardRouterDeterministic(t *testing.T) {
-	a, b := newShardRouter(4), newShardRouter(4)
-	for i := 0; i < 100; i++ {
-		id := poc.ProductID(fmt.Sprintf("product-%d", i))
-		if a.shardFor(id).id != b.shardFor(id).id {
-			t.Fatalf("shardFor(%s) differs across router instances", id)
-		}
-	}
-	spread := make(map[int]int)
-	for i := 0; i < 1000; i++ {
-		spread[a.shardFor(poc.ProductID(fmt.Sprintf("id-%d", i))).id]++
-	}
-	for shard := 0; shard < 4; shard++ {
-		if spread[shard] == 0 {
-			t.Fatalf("shard %d never selected over 1000 ids: %v", shard, spread)
-		}
-	}
-}
-
 // TestBatchRejectsInvalidInput pins the batch argument contract.
 func TestBatchRejectsInvalidInput(t *testing.T) {
 	fx := newFixture(t, 2)
-	px := fx.shardedProxy(t, 2)
+	px := fx.freshProxy(t)
 	if _, err := px.QueryPathBatch(context.Background(), nil, Good); err == nil {
 		t.Fatal("empty batch must error")
 	}

@@ -12,14 +12,9 @@ const DefaultBatchFanout = 8
 
 // ProxyConfig collapses the proxy's construction knobs into one options
 // struct — the proxy counterpart of node.ClientConfig and zkedb.CommitOptions.
-// The zero value reproduces the historical single-shard proxy with no
-// admission gate. cmd binaries register it as flags; tests fill it directly.
+// The zero value gives a proxy with no admission gate. cmd binaries register
+// it as flags; tests fill it directly.
 type ProxyConfig struct {
-	// Shards partitions the proxy's query-path state — POC directory,
-	// path-level single-flight table, and reputation ledger — across this
-	// many independent workers, routed by product-id hash. 0 or 1 keeps the
-	// single-shard proxy.
-	Shards int
 	// ProbeFanout bounds concurrent child probes during a path walk
 	// (1 = serial). 0 selects DefaultProbeFanout.
 	ProbeFanout int
@@ -42,9 +37,6 @@ type ProxyConfig struct {
 
 // withDefaults resolves the zero values into the effective configuration.
 func (c ProxyConfig) withDefaults() ProxyConfig {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	if c.ProbeFanout <= 0 {
 		c.ProbeFanout = DefaultProbeFanout
 	}
@@ -67,11 +59,6 @@ func (c *ProxyConfig) RegisterFlags(fs *flag.FlagSet) {
 	if c.ProbeFanout == 0 {
 		c.ProbeFanout = DefaultProbeFanout
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	fs.IntVar(&c.Shards, "shards", c.Shards,
-		"proxy shard workers partitioning directory, single-flight table and ledger by product-id hash")
 	fs.IntVar(&c.ProbeFanout, "probe-fanout", c.ProbeFanout,
 		"concurrent child probes during a path walk (1 = serial)")
 	fs.IntVar(&c.BatchFanout, "batch-fanout", c.BatchFanout,

@@ -50,18 +50,9 @@ func newFixture(t *testing.T, products int) *fixture {
 	if err != nil {
 		t.Fatalf("RunDistribution: %v", err)
 	}
-	resolver := func(v poc.ParticipantID) (Responder, error) {
-		m, ok := members[v]
-		if !ok {
-			return nil, fmt.Errorf("no member %s", v)
-		}
-		return m, nil
-	}
-	proxy := NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver, ProxyConfig{})
-	if err := proxy.RegisterList(dist.TaskID, dist.List); err != nil {
-		t.Fatalf("RegisterList: %v", err)
-	}
-	return &fixture{ps: ps, graph: g, members: members, proxy: proxy, dist: dist}
+	fx := &fixture{ps: ps, graph: g, members: members, dist: dist}
+	fx.proxy = fx.freshProxy(t)
+	return fx
 }
 
 func TestHonestGoodQueryRecoversExactPath(t *testing.T) {

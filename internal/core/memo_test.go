@@ -13,16 +13,11 @@ import (
 	"desword/internal/zkedb"
 )
 
-// auditEvents flattens a proxy's per-shard audit chains to their ledger
-// events, dropping the first skip events of each shard.
-func auditEvents(px *Proxy, skip []int) [][]reputation.Event {
-	out := make([][]reputation.Event, 0)
-	for i, sc := range px.AuditShards() {
-		var evs []reputation.Event
-		for _, e := range sc.Entries[skip[i]:] {
-			evs = append(evs, e.Event)
-		}
-		out = append(out, evs)
+// auditEvents returns a proxy's ledger events, dropping the first skip.
+func auditEvents(px *Proxy, skip int) []reputation.Event {
+	var out []reputation.Event
+	for _, e := range px.Ledger().AuditLog()[skip:] {
+		out = append(out, e.Event)
 	}
 	return out
 }
@@ -31,59 +26,53 @@ func auditEvents(px *Proxy, skip []int) [][]reputation.Event {
 // invisible in everything a query decides: a pass over every product on a
 // proxy whose memo already holds each proof (all hits) returns results,
 // score changes and audit events identical to the same pass on a fresh
-// proxy (all misses), at one shard and at three.
+// proxy (all misses).
 func TestVerifyMemoWarmEqualsCold(t *testing.T) {
 	fx := newFixture(t, 8)
 	ids := sortedProducts(fx)
 	ctx := context.Background()
-	for _, shards := range []int{1, 3} {
-		for _, quality := range []Quality{Good, Bad} {
-			cold := fx.shardedProxy(t, shards)
-			warm := fx.shardedProxy(t, shards)
-			for _, id := range ids {
-				if _, err := warm.QueryPath(ctx, id, quality); err != nil {
-					t.Fatal(err)
-				}
+	for _, quality := range []Quality{Good, Bad} {
+		cold := fx.freshProxy(t)
+		warm := fx.freshProxy(t)
+		for _, id := range ids {
+			if _, err := warm.QueryPath(ctx, id, quality); err != nil {
+				t.Fatal(err)
 			}
-			before := warm.Scores()
-			var skip []int
-			for _, sc := range warm.AuditShards() {
-				skip = append(skip, len(sc.Entries))
+		}
+		before := warm.Scores()
+		skip := len(warm.Ledger().AuditLog())
+		for _, id := range ids {
+			want, err := cold.QueryPath(ctx, id, quality)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, id := range ids {
-				want, err := cold.QueryPath(ctx, id, quality)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := warm.QueryPath(ctx, id, quality)
-				if err != nil {
-					t.Fatal(err)
-				}
-				what := fmt.Sprintf("shards=%d %v %s", shards, quality, id)
-				if want.Event.VerifyMemoHits != 0 || want.Event.VerifyMemoMisses == 0 {
-					t.Fatalf("%s: cold walk saw %d memo hits, %d misses; want misses only",
-						what, want.Event.VerifyMemoHits, want.Event.VerifyMemoMisses)
-				}
-				if got.Event.VerifyMemoMisses != 0 || got.Event.VerifyMemoHits != want.Event.VerifyMemoMisses {
-					t.Fatalf("%s: warm walk saw %d memo hits, %d misses; want %d hits only",
-						what, got.Event.VerifyMemoHits, got.Event.VerifyMemoMisses, want.Event.VerifyMemoMisses)
-				}
-				stripNondeterminism(want)
-				stripNondeterminism(got)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s: the memo changed the outcome:\ncold: %+v\nwarm: %+v", what, want, got)
-				}
+			got, err := warm.QueryPath(ctx, id, quality)
+			if err != nil {
+				t.Fatal(err)
 			}
-			after := warm.Scores()
-			for v, s := range cold.Scores() {
-				if d := after[v] - before[v]; d != s {
-					t.Fatalf("shards=%d %v: warm pass moved %s by %v, cold by %v", shards, quality, v, d, s)
-				}
+			what := fmt.Sprintf("%v %s", quality, id)
+			if want.Event.VerifyMemoHits != 0 || want.Event.VerifyMemoMisses == 0 {
+				t.Fatalf("%s: cold walk saw %d memo hits, %d misses; want misses only",
+					what, want.Event.VerifyMemoHits, want.Event.VerifyMemoMisses)
 			}
-			zero := make([]int, shards)
-			if want, got := auditEvents(cold, zero), auditEvents(warm, skip); !reflect.DeepEqual(want, got) {
-				t.Fatalf("shards=%d %v: audit events differ:\ncold: %+v\nwarm: %+v", shards, quality, want, got)
+			if got.Event.VerifyMemoMisses != 0 || got.Event.VerifyMemoHits != want.Event.VerifyMemoMisses {
+				t.Fatalf("%s: warm walk saw %d memo hits, %d misses; want %d hits only",
+					what, got.Event.VerifyMemoHits, got.Event.VerifyMemoMisses, want.Event.VerifyMemoMisses)
 			}
+			stripNondeterminism(want)
+			stripNondeterminism(got)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: the memo changed the outcome:\ncold: %+v\nwarm: %+v", what, want, got)
+			}
+		}
+		after := warm.Scores()
+		for v, s := range cold.Scores() {
+			if d := after[v] - before[v]; d != s {
+				t.Fatalf("%v: warm pass moved %s by %v, cold by %v", quality, v, d, s)
+			}
+		}
+		if want, got := auditEvents(cold, 0), auditEvents(warm, skip); !reflect.DeepEqual(want, got) {
+			t.Fatalf("%v: audit events differ:\ncold: %+v\nwarm: %+v", quality, want, got)
 		}
 	}
 }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"desword/internal/events"
@@ -17,12 +20,9 @@ import (
 // per initial participant (§IV.D), answers product path information queries,
 // and maintains the public reputation ledger.
 //
-// Internally the proxy is a sharded tier (ProxyConfig.Shards): query-path
-// state is partitioned across N shard workers by product-id hash, concurrent
-// queries for the same product coalesce onto one walk, and an optional
-// admission gate sheds excess load at the front door instead of queueing it
-// into timeouts. The single-shard default behaves exactly like the
-// historical proxy.
+// Concurrent queries for the same product coalesce onto one walk, and an
+// optional admission gate sheds excess load at the front door instead of
+// queueing it into timeouts.
 type Proxy struct {
 	cfg      ProxyConfig
 	ps       *poc.PublicParams
@@ -30,10 +30,27 @@ type Proxy struct {
 	resolve  Resolver
 	events   *events.Sink
 	gate     *Gate
-	router   *shardRouter
+
+	mu     sync.RWMutex
+	lists  map[string]*poc.List               // task id → POC list; guarded by mu
+	queues map[poc.ParticipantID][]queueEntry // guarded by mu
+
+	// Path-level single-flight table (flight.go). Entries live only while
+	// the leader runs.
+	fmu        sync.Mutex
+	flights    map[flightKey]*pathFlight // guarded by fmu
+	nCoalesced atomic.Uint64
+
+	ledger *reputation.Ledger
+	// memo remembers proofs that already passed POC-Verify.
+	memo *poc.VerifyMemo
 
 	counters statsCounter
 }
+
+// verifyMemoKeys bounds the proxy's verified-proof memo. A key costs about
+// 310 bytes resident, so a full memo holds about 1.2 MiB (DESIGN §10).
+const verifyMemoKeys = 4096
 
 // DefaultProbeFanout bounds how many children are probed concurrently when a
 // walk loses the named next hop.
@@ -46,10 +63,9 @@ type queueEntry struct {
 	credential poc.POC
 }
 
-// NewProxyWithConfig creates a proxy tier from one options struct. The
-// resolver supplies reachable endpoints for participants; the strategy
-// configures the double-edged award. The zero ProxyConfig reproduces the
-// historical single-shard, ungated proxy.
+// NewProxyWithConfig creates a proxy from one options struct. The resolver
+// supplies reachable endpoints for participants; the strategy configures the
+// double-edged award. The zero ProxyConfig gives an ungated proxy.
 func NewProxyWithConfig(ps *poc.PublicParams, strategy reputation.Strategy, resolve Resolver, cfg ProxyConfig) *Proxy {
 	resolved := cfg.withDefaults()
 	px := &Proxy{
@@ -58,10 +74,11 @@ func NewProxyWithConfig(ps *poc.PublicParams, strategy reputation.Strategy, reso
 		strategy: strategy,
 		resolve:  resolve,
 		events:   resolved.EventSink,
-		router:   newShardRouter(resolved.Shards),
-	}
-	for _, sh := range px.router.shards {
-		sh.memo = poc.NewVerifyMemo(ps, verifyMemoKeys/len(px.router.shards))
+		lists:    make(map[string]*poc.List),
+		queues:   make(map[poc.ParticipantID][]queueEntry),
+		flights:  make(map[flightKey]*pathFlight),
+		ledger:   reputation.NewLedger(),
+		memo:     poc.NewVerifyMemo(ps, verifyMemoKeys),
 	}
 	if resolved.gated() {
 		px.gate = NewGate("proxy", resolved.AdmissionWorkers, resolved.AdmissionQueue)
@@ -69,74 +86,33 @@ func NewProxyWithConfig(ps *poc.PublicParams, strategy reputation.Strategy, reso
 	return px
 }
 
-// Config returns the proxy's resolved configuration.
-func (px *Proxy) Config() ProxyConfig { return px.cfg }
-
 // PublicParams returns the public parameter ps that participants use to
 // build POCs.
 func (px *Proxy) PublicParams() *poc.PublicParams { return px.ps }
 
-// Ledger returns shard 0's reputation ledger. With one shard (the default)
-// this is the whole public ledger, exactly as before sharding.
-//
-// Deprecated: a sharded proxy settles each product's awards on the ledger of
-// the shard owning the product; use Scores, Score and AuditShards, which
-// aggregate across shards.
-func (px *Proxy) Ledger() *reputation.Ledger { return px.router.shards[0].ledger }
+// Ledger returns the proxy's public reputation ledger.
+func (px *Proxy) Ledger() *reputation.Ledger { return px.ledger }
 
-// Score returns a participant's reputation score summed across every
-// shard ledger. Awards are additive deltas, so the sum over the partition
-// equals the single-ledger score of the unsharded proxy.
-func (px *Proxy) Score(v poc.ParticipantID) float64 {
-	var total float64
-	for _, sh := range px.router.shards {
-		total += sh.ledger.Score(v)
-	}
-	return total
-}
+// Scores returns the public reputation table.
+func (px *Proxy) Scores() map[poc.ParticipantID]float64 { return px.ledger.Scores() }
 
-// Scores returns the public reputation table: every participant's score
-// summed across the shard ledgers.
-func (px *Proxy) Scores() map[poc.ParticipantID]float64 {
-	out := make(map[poc.ParticipantID]float64)
-	for _, sh := range px.router.shards {
-		for v, s := range sh.ledger.Scores() {
-			out[v] += s
-		}
-	}
-	return out
-}
-
-// AuditShards returns each shard's tamper-evident score history alongside
-// its pinned head, in shard order. Each shard chain verifies independently
-// with reputation.VerifyAuditChain; the union of the replayed chains yields
-// the public score table.
+// AuditShards returns the ledger's tamper-evident score history alongside
+// its pinned head as a one-element slice, the shape the benchmark module
+// verifies with reputation.VerifyShardChains.
 func (px *Proxy) AuditShards() []reputation.ShardChain {
-	out := make([]reputation.ShardChain, len(px.router.shards))
-	for i, sh := range px.router.shards {
-		head, count := sh.ledger.Head()
-		out[i] = reputation.ShardChain{
-			Shard:   i,
-			Entries: sh.ledger.AuditLog(),
-			Head:    head,
-			Count:   count,
-		}
-	}
-	return out
+	head, count := px.ledger.Head()
+	return []reputation.ShardChain{{Entries: px.ledger.AuditLog(), Head: head, Count: count}}
 }
 
 // RegisterList stores a POC list submitted by an initial participant at the
 // end of a distribution task, and inserts (ps, POC_v̄) into the POC-queue of
-// each of the list's initial participants (§IV.D). The list fans out to
-// every shard worker: a list is immutable task metadata any product's walk
-// may need, so each shard keeps its own pointer-level index and the query
-// path never crosses a shard boundary for it.
+// each of the list's initial participants (§IV.D).
 func (px *Proxy) RegisterList(taskID string, list *poc.List) error {
 	if err := list.Validate(); err != nil {
 		return fmt.Errorf("core: rejecting POC list for %s: %w", taskID, err)
 	}
-	// Pre-resolve the initials' credentials once; per-shard insertion below
-	// is then infallible, so a duplicate cannot leave shards half-updated.
+	// Resolve the initials' credentials before taking the lock, so a bad
+	// list cannot leave the queues half-updated.
 	initials := list.Initials()
 	credentials := make([]poc.POC, len(initials))
 	for i, initial := range initials {
@@ -146,43 +122,27 @@ func (px *Proxy) RegisterList(taskID string, list *poc.List) error {
 		}
 		credentials[i] = credential
 	}
-	// The first shard arbitrates duplicates: every registration takes the
-	// shards in order, so a taskID either lands on all shards or none.
-	first := px.router.shards[0]
-	first.mu.Lock()
-	if _, dup := first.lists[taskID]; dup {
-		first.mu.Unlock()
+	px.mu.Lock()
+	if _, dup := px.lists[taskID]; dup {
+		px.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrAlreadyRegistered, taskID)
 	}
-	first.insertListLocked(taskID, list, initials, credentials)
-	first.mu.Unlock()
-	for _, sh := range px.router.shards[1:] {
-		sh.mu.Lock()
-		sh.insertListLocked(taskID, list, initials, credentials)
-		sh.mu.Unlock()
+	px.lists[taskID] = list
+	for i, initial := range initials {
+		px.queues[initial] = append(px.queues[initial], queueEntry{taskID: taskID, credential: credentials[i]})
 	}
+	px.mu.Unlock()
 	px.counters.addTask()
 	mTasksRegistered.Inc()
 	return nil
 }
 
-// insertListLocked indexes one validated list on the shard. Callers hold
-// sh.mu.
-func (sh *proxyShard) insertListLocked(taskID string, list *poc.List, initials []poc.ParticipantID, credentials []poc.POC) {
-	sh.lists[taskID] = list
-	for i, initial := range initials {
-		sh.queues[initial] = append(sh.queues[initial], queueEntry{taskID: taskID, credential: credentials[i]})
-	}
-}
-
-// Tasks returns the registered task ids, sorted. Every shard indexes every
-// list, so shard 0's view is the proxy's view.
+// Tasks returns the registered task ids, sorted.
 func (px *Proxy) Tasks() []string {
-	sh := px.router.shards[0]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	out := make([]string, 0, len(sh.lists))
-	for id := range sh.lists {
+	px.mu.RLock()
+	defer px.mu.RUnlock()
+	out := make([]string, 0, len(px.lists))
+	for id := range px.lists {
 		out = append(out, id)
 	}
 	sort.Strings(out)
@@ -196,9 +156,10 @@ func (px *Proxy) Tasks() []string {
 // double-edged reputation award to the identified path.
 //
 // QueryPath is the batch=1 case of the proxy's one query path: admission at
-// the front door, product-hash routing to the owning shard, single-flight
-// coalescing with concurrent queries for the same product, then the walk.
-// Shed queries return an error wrapping ErrLoadShed.
+// the front door, single-flight coalescing with concurrent queries for the
+// same product, then the walk. Shed queries return an error wrapping
+// ErrLoadShed; a query whose context is cancelled mid-walk returns
+// context.Canceled and settles nothing.
 func (px *Proxy) QueryPath(ctx context.Context, id poc.ProductID, quality Quality) (*Result, error) {
 	if quality != Good && quality != Bad {
 		return nil, fmt.Errorf("core: invalid quality %v", quality)
@@ -208,7 +169,7 @@ func (px *Proxy) QueryPath(ctx context.Context, id poc.ProductID, quality Qualit
 }
 
 // queryItem is the shared single-product path both QueryPath and
-// QueryPathBatch drive: admission gate, shard routing, coalescing, walk.
+// QueryPathBatch drive: admission gate, coalescing, walk.
 func (px *Proxy) queryItem(ctx context.Context, id poc.ProductID, quality Quality) BatchItem {
 	item := BatchItem{Product: id}
 	release, err := px.gate.Acquire(ctx)
@@ -219,9 +180,8 @@ func (px *Proxy) queryItem(ctx context.Context, id poc.ProductID, quality Qualit
 		return item
 	}
 	defer release()
-	sh := px.router.shardFor(id)
-	item.Result, item.Err = sh.queryCoalesced(ctx, flightKey{product: id, quality: quality}, func() (*Result, error) {
-		return px.runQuery(ctx, sh, id, quality)
+	item.Result, item.Err = px.queryCoalesced(ctx, flightKey{product: id, quality: quality}, func() (*Result, error) {
+		return px.runQuery(ctx, id, quality)
 	})
 	return item
 }
@@ -238,13 +198,18 @@ func (px *Proxy) emitShedEvent(id poc.ProductID, quality Quality, err error) {
 	px.events.Emit(ev)
 }
 
-// runQuery performs one walk on the owning shard. It is always entered
-// through the shard's single-flight table, so at most one walk per
-// (product, quality) runs at a time.
-func (px *Proxy) runQuery(ctx context.Context, sh *proxyShard, id poc.ProductID, quality Quality) (*Result, error) {
+// runQuery performs one walk. It is always entered through the
+// single-flight table, so at most one walk per (product, quality) runs at a
+// time.
+//
+// A walk whose context was cancelled (the caller went away, or the server
+// is closing) returns context.Canceled and settles nothing: its failed hops
+// say nothing about the participants, and the followers of the flight retry
+// as leader. It still emits a wide event with outcome error, so the journal
+// accounts for every query.
+func (px *Proxy) runQuery(ctx context.Context, id poc.ProductID, quality Quality) (*Result, error) {
 	ctx, span := trace.Default.Start(ctx, "proxy.query_path",
-		trace.String("product", string(id)), trace.String("quality", quality.String()),
-		trace.Int("shard", sh.id))
+		trace.String("product", string(id)), trace.String("quality", quality.String()))
 	defer span.End()
 	qStart := time.Now()
 	// Sampled queries stamp their trace id on the latency observation, so
@@ -267,25 +232,24 @@ func (px *Proxy) runQuery(ctx context.Context, sh *proxyShard, id poc.ProductID,
 	scope := events.NewScope()
 	ctx = events.WithScope(ctx, scope)
 
-	start, entry, firstNext := px.findStart(ctx, sh, id, quality, result)
-	if start == "" {
-		// No initial participant admits processing the product in any task.
-		span.SetAttr(trace.Int("hops", 0), trace.Int("violations", len(result.Violations)))
-		px.settle(sh, result)
-		px.finishEvent(result, scope, qStart)
-		return result, nil
+	// An empty start means no initial participant admits processing the
+	// product in any task.
+	if start, entry, firstNext := px.findStart(ctx, id, quality, result); start != "" {
+		result.TaskID = entry.taskID
+		px.mu.RLock()
+		list := px.lists[entry.taskID]
+		px.mu.RUnlock()
+		px.walk(ctx, list, entry.taskID, start, firstNext, id, quality, result)
+		span.SetAttr(trace.String("task", entry.taskID), trace.Bool("complete", result.Complete))
 	}
-	result.TaskID = entry.taskID
-
-	sh.mu.RLock()
-	list := sh.lists[entry.taskID]
-	sh.mu.RUnlock()
-	px.walk(ctx, sh, list, entry.taskID, start, firstNext, id, quality, result)
-	span.SetAttr(trace.String("task", entry.taskID),
-		trace.Int("hops", len(result.Path)), trace.Int("violations", len(result.Violations)),
-		trace.Bool("complete", result.Complete))
-	px.settle(sh, result)
-	px.finishEvent(result, scope, qStart)
+	span.SetAttr(trace.Int("hops", len(result.Path)), trace.Int("violations", len(result.Violations)))
+	if err := ctx.Err(); errors.Is(err, context.Canceled) {
+		span.SetError(err)
+		px.finishEvent(result, scope, qStart, err)
+		return nil, err
+	}
+	px.settle(result)
+	px.finishEvent(result, scope, qStart, nil)
 	return result, nil
 }
 
@@ -293,7 +257,8 @@ func (px *Proxy) runQuery(ctx context.Context, sh *proxyShard, id poc.ProductID,
 // walk accumulated and emits it into the flight recorder when a sink is
 // configured. The event is attached to the result either way, so local and
 // remote queriers (desword-query -json) see the same record the proxy kept.
-func (px *Proxy) finishEvent(result *Result, scope *events.Scope, start time.Time) {
+// A non-nil err marks a walk that ended without settling.
+func (px *Proxy) finishEvent(result *Result, scope *events.Scope, start time.Time, err error) {
 	ev := events.New(events.KindQuery, start)
 	ev.DurationUS = time.Since(start).Microseconds()
 	ev.TraceID = result.TraceID
@@ -303,6 +268,9 @@ func (px *Proxy) finishEvent(result *Result, scope *events.Scope, start time.Tim
 	ev.PathLen = len(result.Path)
 	ev.Complete = result.Complete
 	switch {
+	case err != nil:
+		ev.Outcome = events.OutcomeError
+		ev.Error = err.Error()
 	case result.TaskID == "":
 		ev.Outcome = events.OutcomeNoOrigin
 	case result.Complete:
@@ -344,24 +312,24 @@ func recordHop(result *Result, v poc.ParticipantID, o identifyOutcome) {
 // findStart probes each initial participant's POC-queue (§IV.D) and returns
 // the first initial identified as having processed the product, along with
 // the queue entry that anchored the identification.
-func (px *Proxy) findStart(ctx context.Context, sh *proxyShard, id poc.ProductID, quality Quality, result *Result) (poc.ParticipantID, queueEntry, poc.ParticipantID) {
+func (px *Proxy) findStart(ctx context.Context, id poc.ProductID, quality Quality, result *Result) (poc.ParticipantID, queueEntry, poc.ParticipantID) {
 	ctx, span := trace.Default.StartChild(ctx, "poc_queue.find_start")
 	defer span.End()
-	sh.mu.RLock()
-	initials := make([]poc.ParticipantID, 0, len(sh.queues))
-	for v := range sh.queues {
+	px.mu.RLock()
+	initials := make([]poc.ParticipantID, 0, len(px.queues))
+	for v := range px.queues {
 		initials = append(initials, v)
 	}
 	sort.Slice(initials, func(i, j int) bool { return initials[i] < initials[j] })
-	queues := make(map[poc.ParticipantID][]queueEntry, len(sh.queues))
-	for v, q := range sh.queues {
+	queues := make(map[poc.ParticipantID][]queueEntry, len(px.queues))
+	for v, q := range px.queues {
 		queues[v] = append([]queueEntry(nil), q...)
 	}
-	sh.mu.RUnlock()
+	px.mu.RUnlock()
 
 	for _, initial := range initials {
 		for _, entry := range queues[initial] {
-			outcome := px.identify(ctx, sh, entry.taskID, entry.credential, initial, id, quality)
+			outcome := px.identify(ctx, entry.taskID, entry.credential, initial, id, quality)
 			px.counters.addInteraction(outcome.identified)
 			recordHop(result, initial, outcome)
 			result.Violations = append(result.Violations, outcome.violations...)
@@ -396,9 +364,9 @@ type identifyOutcome struct {
 }
 
 // identify runs one query interaction (§IV.C step 1–2) with participant v
-// under its POC for the given task. Proofs are verified through the owning
-// shard's verified-proof memo.
-func (px *Proxy) identify(ctx context.Context, sh *proxyShard, taskID string, credential poc.POC, v poc.ParticipantID, id poc.ProductID, quality Quality) (outcome identifyOutcome) {
+// under its POC for the given task. Proofs are verified through the proxy's
+// verified-proof memo.
+func (px *Proxy) identify(ctx context.Context, taskID string, credential poc.POC, v poc.ParticipantID, id poc.ProductID, quality Quality) (outcome identifyOutcome) {
 	hopStart := time.Now()
 	ctx, span := trace.Default.StartChild(ctx, "hop.identify",
 		trace.String("participant", string(v)), trace.String("task", taskID))
@@ -434,9 +402,9 @@ func (px *Proxy) identify(ctx context.Context, sh *proxyShard, taskID string, cr
 
 	switch quality {
 	case Good:
-		outcome = identifyGood(ctx, sh.memo, credential, v, id, resp)
+		outcome = identifyGood(ctx, px.memo, credential, v, id, resp)
 	default:
-		outcome = identifyBad(ctx, sh.memo, taskID, credential, v, id, resp, responder)
+		outcome = identifyBad(ctx, px.memo, taskID, credential, v, id, resp, responder)
 	}
 	outcome.timing.proveUS = proveUS
 	return outcome
@@ -539,7 +507,7 @@ func identifyBad(ctx context.Context, memo *poc.VerifyMemo, taskID string, crede
 
 // walk continues the query from the identified start down the POC list,
 // hop by hop (§IV.C step 3), with the next-hop checks of §III.B.
-func (px *Proxy) walk(ctx context.Context, sh *proxyShard, list *poc.List, taskID string, start, firstNext poc.ParticipantID, id poc.ProductID, quality Quality, result *Result) {
+func (px *Proxy) walk(ctx context.Context, list *poc.List, taskID string, start, firstNext poc.ParticipantID, id poc.ProductID, quality Quality, result *Result) {
 	visited := map[poc.ParticipantID]bool{start: true}
 	cur := start
 	next := firstNext
@@ -547,7 +515,7 @@ func (px *Proxy) walk(ctx context.Context, sh *proxyShard, list *poc.List, taskI
 		if next == "" {
 			// No next hop named. If the POC list records children, the
 			// product may still have moved on — probe them.
-			child, childNext := px.probeChildren(ctx, sh, list, taskID, cur, id, quality, visited, result)
+			child, childNext := px.probeChildren(ctx, list, taskID, cur, id, quality, visited, result)
 			if child == "" {
 				result.Complete = len(list.Children(cur)) == 0
 				return
@@ -588,7 +556,7 @@ func (px *Proxy) walk(ctx context.Context, sh *proxyShard, list *poc.List, taskI
 			continue
 		}
 		visited[next] = true
-		outcome := px.identify(ctx, sh, taskID, credential, next, id, quality)
+		outcome := px.identify(ctx, taskID, credential, next, id, quality)
 		px.counters.addInteraction(outcome.identified)
 		recordHop(result, next, outcome)
 		result.Violations = append(result.Violations, outcome.violations...)
@@ -624,7 +592,7 @@ func (px *Proxy) walk(ctx context.Context, sh *proxyShard, list *poc.List, taskI
 // interrogated. Speculation is safe because the probe interaction is
 // read-only on the participant side (query and, in the bad case, the
 // ownership demand both answer from the committed DPOC).
-func (px *Proxy) probeChildren(ctx context.Context, sh *proxyShard, list *poc.List, taskID string, cur poc.ParticipantID, id poc.ProductID, quality Quality, visited map[poc.ParticipantID]bool, result *Result) (poc.ParticipantID, poc.ParticipantID) {
+func (px *Proxy) probeChildren(ctx context.Context, list *poc.List, taskID string, cur poc.ParticipantID, id poc.ProductID, quality Quality, visited map[poc.ParticipantID]bool, result *Result) (poc.ParticipantID, poc.ParticipantID) {
 	type candidate struct {
 		child      poc.ParticipantID
 		credential poc.POC
@@ -658,7 +626,7 @@ func (px *Proxy) probeChildren(ctx context.Context, sh *proxyShard, list *poc.Li
 
 	if px.cfg.ProbeFanout <= 1 || len(cands) <= 1 {
 		for _, c := range cands {
-			outcome := px.identify(ctx, sh, taskID, c.credential, c.child, id, quality)
+			outcome := px.identify(ctx, taskID, c.credential, c.child, id, quality)
 			if child, next, ok := commit(c, outcome); ok {
 				return child, next
 			}
@@ -675,7 +643,7 @@ func (px *Proxy) probeChildren(ctx context.Context, sh *proxyShard, list *poc.Li
 		go func(i int) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			outcomes[i] <- px.identify(probeCtx, sh, taskID, cands[i].credential, cands[i].child, id, quality)
+			outcomes[i] <- px.identify(probeCtx, taskID, cands[i].credential, cands[i].child, id, quality)
 		}(i)
 	}
 	for i, c := range cands {
@@ -691,30 +659,27 @@ func (px *Proxy) probeChildren(ctx context.Context, sh *proxyShard, list *poc.Li
 }
 
 // settle applies the double-edged award to the identified path and penalizes
-// every detected violation (§II.C) on the shard that owns the product. It
-// records the net score change of every affected participant on the result,
-// so the query's wide event carries the reputation consequences alongside
-// the detection that caused them. Award deltas are state-independent, so
-// settling on the owning shard's ledger sums to exactly the single-ledger
-// outcome.
-func (px *Proxy) settle(sh *proxyShard, result *Result) {
+// every detected violation (§II.C). It records the net score change of every
+// affected participant on the result, so the query's wide event carries the
+// reputation consequences alongside the detection that caused them.
+func (px *Proxy) settle(result *Result) {
 	px.counters.addViolations(result.Violations)
 	countOutcome(result)
 	affected := make(map[poc.ParticipantID]float64, len(result.Path)+len(result.Violations))
 	for _, v := range result.Path {
-		affected[v] = sh.ledger.Score(v)
+		affected[v] = px.ledger.Score(v)
 	}
 	for _, vio := range result.Violations {
 		if _, ok := affected[vio.Participant]; !ok {
-			affected[vio.Participant] = sh.ledger.Score(vio.Participant)
+			affected[vio.Participant] = px.ledger.Score(vio.Participant)
 		}
 	}
-	px.strategy.AwardPath(sh.ledger, result.Product, result.Quality, result.Path)
+	px.strategy.AwardPath(px.ledger, result.Product, result.Quality, result.Path)
 	for _, v := range result.Violations {
-		px.strategy.PenalizeViolation(sh.ledger, v.Participant, result.Product, result.Quality, v.Detail)
+		px.strategy.PenalizeViolation(px.ledger, v.Participant, result.Product, result.Quality, v.Detail)
 	}
 	for v, before := range affected {
-		if delta := sh.ledger.Score(v) - before; delta != 0 {
+		if delta := px.ledger.Score(v) - before; delta != 0 {
 			if result.repDeltas == nil {
 				result.repDeltas = make(map[string]float64, len(affected))
 			}

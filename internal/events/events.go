@@ -49,8 +49,10 @@ const (
 // Outcome is the event's one-word verdict.
 type Outcome string
 
-// Outcomes. Query events use the first three; node requests and campaigns
-// use ok/error.
+// Outcomes. Query events use complete, incomplete and no_origin, plus error
+// for a walk whose caller cancelled it (nothing settled) and load_shed for a
+// query the admission gate rejected; node requests and campaigns use
+// ok/error.
 const (
 	// OutcomeComplete: the walk reached a leaf of the POC list.
 	OutcomeComplete Outcome = "complete"

@@ -762,31 +762,16 @@ func (s *ProxyServer) handle(ctx context.Context, env *wire.Envelope) (string, a
 	case wire.TypeScores:
 		return wire.TypeScoreTable, wire.ScoreTable{Scores: s.proxy.Scores()}
 	case wire.TypeAuditLog:
-		return wire.TypeAuditChain, encodeAuditChains(s.proxy.AuditShards())
+		// Head and count come from the same snapshot as the entries, so a
+		// settlement landing mid-request cannot make the reply inconsistent.
+		chain := wire.AuditChain{Entries: s.proxy.Ledger().AuditLog(), Head: make([]byte, 32)}
+		if n := len(chain.Entries); n > 0 {
+			chain.Head, chain.Count = chain.Entries[n-1].Digest[:], uint64(n)
+		}
+		return wire.TypeAuditChain, chain
 	default:
 		return wire.TypeError, wire.ErrorResponse{Message: "unknown message type " + env.Type}
 	}
-}
-
-// encodeAuditChains renders the proxy's shard ledgers in the wire form.
-// One shard emits the legacy single-chain encoding unchanged; more shards
-// emit per-shard chains with the top level pinning only the total count, so
-// a pre-shard verifier fails loudly instead of accepting an empty history
-// (see wire.AuditChain).
-func encodeAuditChains(shards []reputation.ShardChain) wire.AuditChain {
-	if len(shards) == 1 {
-		return wire.AuditChain{
-			Entries: shards[0].Entries,
-			Head:    shards[0].Head[:],
-			Count:   shards[0].Count,
-		}
-	}
-	out := wire.AuditChain{Head: make([]byte, 32), Shards: make([]wire.AuditChain, len(shards))}
-	for i, sc := range shards {
-		out.Count += sc.Count
-		out.Shards[i] = wire.AuditChain{Entries: sc.Entries, Head: sc.Head[:], Count: sc.Count}
-	}
-	return out
 }
 
 // ProxyClient reaches a remote proxy through a persistent connection pool;
@@ -917,29 +902,6 @@ func (c *ProxyClient) AuditLog(ctx context.Context) ([]reputation.AuditEntry, er
 	var chain wire.AuditChain
 	if err := env.Decode(&chain); err != nil {
 		return nil, err
-	}
-	// Sharded proxies publish one independent chain per shard ledger; each
-	// verifies on its own, the top-level count must pin the total, and the
-	// entries come back in shard order (awards are additive, so any
-	// concatenation order replays to the same score table).
-	if len(chain.Shards) > 0 {
-		var total uint64
-		var entries []reputation.AuditEntry
-		for i, sc := range chain.Shards {
-			head, err := auditHead(sc.Head)
-			if err != nil {
-				return nil, err
-			}
-			if err := reputation.VerifyAuditChain(sc.Entries, head, sc.Count); err != nil {
-				return nil, fmt.Errorf("node: proxy published a broken audit chain (shard %d): %w", i, err)
-			}
-			total += sc.Count
-			entries = append(entries, sc.Entries...)
-		}
-		if total != chain.Count {
-			return nil, fmt.Errorf("node: shard chains carry %d entries, top level pins %d", total, chain.Count)
-		}
-		return entries, nil
 	}
 	head, err := auditHead(chain.Head)
 	if err != nil {

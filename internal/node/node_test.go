@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"desword/internal/poc"
 	"desword/internal/reputation"
 	"desword/internal/supplychain"
+	"desword/internal/wire"
 	"desword/internal/zkedb"
 )
 
@@ -41,13 +43,6 @@ func (d *deployment) stop(id poc.ParticipantID) error {
 }
 
 func deploy(t *testing.T, n int, dishonest map[poc.ParticipantID]core.Responder) *deployment {
-	t.Helper()
-	return deployWithConfig(t, n, dishonest, core.ProxyConfig{})
-}
-
-// deployWithConfig is deploy with an explicit proxy-tier configuration, for
-// tests exercising sharding and admission over real TCP.
-func deployWithConfig(t *testing.T, n int, dishonest map[poc.ParticipantID]core.Responder, cfg core.ProxyConfig) *deployment {
 	t.Helper()
 	ps, err := poc.PSGen(zkedb.TestParams())
 	if err != nil {
@@ -97,7 +92,7 @@ func deployWithConfig(t *testing.T, n int, dishonest map[poc.ParticipantID]core.
 			t.Errorf("closing resolver pools: %v", cerr)
 		}
 	})
-	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver.Resolver(), cfg)
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), resolver.Resolver(), core.ProxyConfig{})
 	proxySrv, err := ServeProxy(context.Background(), "127.0.0.1:0", proxy)
 	if err != nil {
 		t.Fatal(err)
@@ -354,6 +349,44 @@ func TestAuditLogOverWire(t *testing.T) {
 		if replayed[v] != want {
 			t.Fatalf("replayed score for %s = %v, want %v", v, replayed[v], want)
 		}
+	}
+}
+
+// TestAuditLogRejectsMultiChainReply pins the audit wire contract: a reply
+// in the former multi-chain form (per-partition chains under "shards", empty
+// top-level entries, zero head, the summed count) fails verification with
+// reputation.ErrAuditChain and never comes back as a verified empty history.
+func TestAuditLogRejectsMultiChainReply(t *testing.T) {
+	var chains []wire.AuditChain
+	var total uint64
+	for _, v := range []supplychain.ParticipantID{"p0", "p1"} {
+		l := reputation.NewLedger()
+		l.Adjust(reputation.Event{Participant: v, Product: "id", Delta: 1, Reason: "award"})
+		head, count := l.Head()
+		chains = append(chains, wire.AuditChain{Entries: l.AuditLog(), Head: head[:], Count: count})
+		total += count
+	}
+	reply := struct {
+		wire.AuditChain
+		Shards []wire.AuditChain `json:"shards"`
+	}{wire.AuditChain{Entries: []reputation.AuditEntry{}, Head: make([]byte, 32), Count: total}, chains}
+	addr := startWireServer(t, func(env *wire.Envelope) *wire.Envelope {
+		resp, err := wire.NewEnvelope(wire.TypeAuditChain, reply)
+		if err != nil {
+			t.Errorf("building audit reply: %v", err)
+			return nil
+		}
+		resp.ReqID = env.RequestID()
+		return resp
+	})
+	client := NewProxyClient(addr, WithRetries(0))
+	defer client.Close()
+	entries, err := client.AuditLog(context.Background())
+	if !errors.Is(err, reputation.ErrAuditChain) {
+		t.Fatalf("AuditLog returned %d entries, err %v; want reputation.ErrAuditChain", len(entries), err)
+	}
+	if entries != nil {
+		t.Fatalf("a rejected chain still returned %d entries", len(entries))
 	}
 }
 

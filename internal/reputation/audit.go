@@ -103,12 +103,8 @@ func VerifyAuditChain(entries []AuditEntry, head [32]byte, count uint64) error {
 	return nil
 }
 
-// ShardChain is one shard ledger's published audit history: a sharded proxy
-// settles each product's awards on the ledger of the shard owning the
-// product, so the public history is a set of independent chains, one per
-// shard. Each chain verifies on its own with VerifyAuditChain; the union of
-// the replayed chains yields the public score table (awards are additive, so
-// partition order does not matter).
+// ShardChain is one published audit history with its pinned head, the
+// shape core.Proxy.AuditShards returns. It verifies with VerifyAuditChain.
 type ShardChain struct {
 	Shard   int          `json:"shard"`
 	Entries []AuditEntry `json:"entries"`
@@ -116,7 +112,7 @@ type ShardChain struct {
 	Count   uint64       `json:"count"`
 }
 
-// VerifyShardChains verifies every shard chain independently and returns the
+// VerifyShardChains verifies every chain independently and returns the
 // merged replayed score table.
 func VerifyShardChains(chains []ShardChain) (map[supplychain.ParticipantID]float64, error) {
 	out := make(map[supplychain.ParticipantID]float64)

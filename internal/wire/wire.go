@@ -429,18 +429,12 @@ type ScoreTable struct {
 }
 
 // AuditChain carries the proxy's chained score history: customers verify it
-// with reputation.VerifyAuditChain against the pinned head.
-//
-// A sharded proxy publishes one independent chain per shard ledger in
-// Shards, each verifying on its own. The top-level fields then pin the
-// total: Entries is empty, Head stays zero, and Count carries the summed
-// entry count — so a pre-shard client that ignores Shards fails its
-// count-vs-entries check loudly ("0 entries, head pins N") instead of
-// silently verifying an empty history. With one shard (the default) the
-// legacy single-chain encoding is emitted unchanged and Shards is absent.
+// with reputation.VerifyAuditChain against the pinned head. A reply in the
+// former multi-chain form (per-partition chains under "shards", empty
+// top-level entries, zero head, the summed count) fails that check loudly
+// instead of verifying as an empty history.
 type AuditChain struct {
 	Entries []reputation.AuditEntry `json:"entries"`
 	Head    []byte                  `json:"head"`
 	Count   uint64                  `json:"count"`
-	Shards  []AuditChain            `json:"shards,omitempty"`
 }
