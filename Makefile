@@ -1,7 +1,7 @@
 GO ?= go
 VET := bin/desword-vet
 
-.PHONY: all check build test vet fmt race bench bench-smoke benchmark-smoke telemetry-smoke events-smoke store-smoke saturation-smoke lint analyzers tidy fuzz-short
+.PHONY: all check build test vet fmt race bench benchmark-smoke telemetry-smoke events-smoke store-smoke saturation-smoke lint analyzers tidy fuzz-short
 
 all: check
 
@@ -30,19 +30,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-smoke runs a tiny crypto-engine experiment (E10) end to end and
-# asserts from the JSON metrics snapshot that the proof cache actually served
-# hits — a cheap CI guard that the bench harness, the -metrics-out JSON path
-# and the cache instrumentation stay wired together.
-bench-smoke:
-	$(GO) run ./cmd/desword-bench -exp crypto -fast -reps 2 -db 4 -metrics-out bench-smoke.json
-	@hits=$$(awk -F'"value":' '/desword_proofcache_hits/ {gsub(/[^0-9].*/, "", $$2); print $$2}' bench-smoke.json); \
-	rm -f bench-smoke.json; \
-	if [ -z "$$hits" ] || [ "$$hits" -lt 1 ]; then \
-		echo "bench-smoke: expected desword_proofcache_hits >= 1, got '$$hits'"; exit 1; \
-	fi; \
-	echo "bench-smoke: desword_proofcache_hits = $$hits"
 
 # benchmark-smoke runs the benchmark module's own tests (benchmark/README.md):
 # the metric catalogue check and a short run of every workload, about a

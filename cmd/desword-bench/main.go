@@ -11,15 +11,13 @@
 //	desword-bench -exp e2e -metrics-out bench-metrics.prom
 //
 // Experiments: tmc (E1), fig4a (E2), fig4b (E3), table2 (E4), fig5 (E5),
-// baseline (E6), incentive (E7), e2e (E8), transport (E9), crypto (E10),
-// telemetry (E11), events (E12), ablation (A1–A4), store (E13),
+// baseline (E6), incentive (E7), e2e (E8), ablation (A1–A4),
 // saturation (E14).
 //
 // With -metrics-out, the process-wide metrics registry (proof generation and
-// verification timings, query latencies, …) is snapshotted to the file after
-// each experiment, so bench runs emit machine-readable telemetry alongside
-// the rendered tables. A file ending in .json gets the registry's JSON form
-// (one object per series); any other name gets Prometheus text format.
+// verification timings, query latencies, …) is snapshotted to the file in
+// Prometheus text format after each experiment, so bench runs emit
+// machine-readable telemetry alongside the rendered tables.
 package main
 
 import (
@@ -52,7 +50,7 @@ type renderer interface {
 
 func run() error {
 	var (
-		exp        = flag.String("exp", "all", "experiment: all|tmc|fig4a|fig4b|table2|fig5|baseline|incentive|e2e|transport|crypto|telemetry|events|ablation|store|saturation")
+		exp        = flag.String("exp", "all", "experiment: all|tmc|fig4a|fig4b|table2|fig5|baseline|incentive|e2e|ablation|saturation")
 		satOut     = flag.String("saturation-out", "BENCH_saturation.json", "write the E14 machine-readable report (p50/p99 vs offered load, shed counters, walks and coalesced joins) to this JSON file")
 		modulus    = flag.Int("modulus", 1024, "RSA modulus bits for the qTMC layer")
 		reps       = flag.Int("reps", 10, "repetitions per timing point (paper smooths over 50)")
@@ -119,48 +117,6 @@ func run() error {
 			}
 			return render(bench.RunE2E(params, lengths, *reps))
 		}},
-		{"transport", func() error {
-			params := zkedb.Params{Q: 16, H: 32, KeyBits: 128, ModulusBits: *modulus}
-			if *fast {
-				params = zkedb.TestParams()
-			}
-			return render(bench.RunTransport(params, lengths, *reps))
-		}},
-		{"crypto", func() error {
-			params := zkedb.Params{Q: 16, H: 32, KeyBits: 128, ModulusBits: *modulus}
-			size := *dbSize * 8
-			workers := []int{1, 2, 4, 8}
-			if *fast {
-				params = zkedb.TestParams()
-				size = *dbSize
-				workers = []int{1, 2, 4}
-			}
-			if err := render(bench.RunCryptoCommit(params, size, workers, *reps)); err != nil {
-				return fmt.Errorf("E10a: %w", err)
-			}
-			if err := render(bench.RunCryptoProofCache(params, size, *reps)); err != nil {
-				return fmt.Errorf("E10b: %w", err)
-			}
-			return nil
-		}},
-		{"telemetry", func() error {
-			params := zkedb.Params{Q: 16, H: 32, KeyBits: 128, ModulusBits: *modulus}
-			length := 6
-			if *fast {
-				params = zkedb.TestParams()
-				length = 4
-			}
-			return render(bench.RunTelemetry(params, length, *reps))
-		}},
-		{"events", func() error {
-			params := zkedb.Params{Q: 16, H: 32, KeyBits: 128, ModulusBits: *modulus}
-			length := 6
-			if *fast {
-				params = zkedb.TestParams()
-				length = 4
-			}
-			return render(bench.RunEvents(params, length, *reps))
-		}},
 		{"ablation", func() error {
 			params := zkedb.Params{Q: 16, H: 32, KeyBits: 128, ModulusBits: *modulus}
 			sizes := []int{1, 4, 16, 64}
@@ -182,26 +138,6 @@ func run() error {
 			}
 			if err := render(bench.RunAblationTreeScheme(qhs, *modulus, *reps)); err != nil {
 				return fmt.Errorf("A4: %w", err)
-			}
-			return nil
-		}},
-		{"store", func() error {
-			// A shallow wide geometry: 40-bit digests hold 10k+ keys with
-			// negligible collision odds while keeping per-key path cost low
-			// enough that the two full rebuilds E13a needs stay tractable.
-			params := zkedb.Params{Q: 16, H: 10, KeyBits: 40, ModulusBits: 512}
-			base, ks := 10000, []int{1, 16, 256}
-			lazyBase, cacheNodes := 2000, 64
-			if *fast {
-				params = zkedb.TestParams()
-				base, ks = 400, []int{1, 8, 64}
-				lazyBase, cacheNodes = 400, 32
-			}
-			if err := render(bench.RunStoreIncremental(params, base, ks)); err != nil {
-				return fmt.Errorf("E13a: %w", err)
-			}
-			if err := render(bench.RunStoreLazy(params, lazyBase, cacheNodes, *reps)); err != nil {
-				return fmt.Errorf("E13b: %w", err)
 			}
 			return nil
 		}},
@@ -265,18 +201,13 @@ func run() error {
 
 // snapshotMetrics rewrites path with the current cumulative registry state,
 // so the file always holds one consistent, complete exposition even if a
-// later experiment is interrupted. The extension picks the format: .json
-// gets the registry's JSON form, anything else Prometheus text.
+// later experiment is interrupted.
 func snapshotMetrics(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("creating metrics snapshot: %w", err)
 	}
-	write := obs.Default.WritePrometheus
-	if strings.HasSuffix(path, ".json") {
-		write = obs.Default.WriteJSON
-	}
-	if err := write(f); err != nil {
+	if err := obs.Default.WritePrometheus(f); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("writing metrics snapshot: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"desword/internal/obs"
 	"desword/internal/sim"
 	"desword/internal/zkedb"
 )
@@ -219,8 +220,14 @@ func TestIncentiveTable(t *testing.T) {
 	}
 }
 
+// TestE2ESmallChains also pins that E8 times first queries: neither a
+// participant's proof cache nor the proxy's verify memo may answer any of
+// them, whatever the repetition count.
 func TestE2ESmallChains(t *testing.T) {
-	tb, err := RunE2E(zkedb.TestParams(), []int{2, 3}, 1)
+	cacheHits := obs.Default.Counter("desword_proofcache_hits", "")
+	memoHits := obs.Default.Counter("desword_verifymemo_hits", "")
+	cache0, memo0 := cacheHits.Value(), memoHits.Value()
+	tb, err := RunE2E(zkedb.TestParams(), []int{2, 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +238,12 @@ func TestE2ESmallChains(t *testing.T) {
 		if parseMs(t, row[1]) < 0 || parseMs(t, row[2]) < 0 {
 			t.Fatal("latencies must be non-negative")
 		}
+	}
+	if got := cacheHits.Value() - cache0; got != 0 {
+		t.Errorf("E8 queries hit the proof cache %d times, want 0", got)
+	}
+	if got := memoHits.Value() - memo0; got != 0 {
+		t.Errorf("E8 queries hit the verify memo %d times, want 0", got)
 	}
 }
 

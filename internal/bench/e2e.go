@@ -2,27 +2,29 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"desword/internal/core"
-	"desword/internal/node"
 	"desword/internal/poc"
-	"desword/internal/reputation"
-	"desword/internal/supplychain"
 	"desword/internal/zkedb"
 )
 
 // This file implements experiment E8: end-to-end good/bad product path query
 // latency over a real TCP deployment as a function of path length — the
-// whole-protocol cost a supply-chain application observes.
+// whole-protocol cost a supply-chain application observes on a first query.
 
 // RunE2E deploys linear chains of the given lengths on localhost and times
-// full path queries through proxy and participant servers.
+// full path queries through proxy and participant servers. Every measured
+// query asks about a product no earlier query touched, so each hop proves
+// and verifies afresh: the participants' proof caches and the proxy's
+// verify memo never answer.
 func RunE2E(params zkedb.Params, lengths []int, reps int) (*Table, error) {
+	reps = max(reps, 1)
 	t := &Table{
 		Title: "E8: end-to-end path query latency over TCP (localhost)",
-		Note: fmt.Sprintf("q=%d h=%d, one product per chain, mean over %d runs; grows linearly with path length",
+		Note: fmt.Sprintf("q=%d h=%d, mean over %d first (cold) queries per flavour, one fresh product each; grows linearly with path length",
 			params.Q, params.H, reps),
 		Headers: []string{"path length", "good query", "bad query", "proof bytes/hop (own)"},
 	}
@@ -40,85 +42,48 @@ func RunE2E(params zkedb.Params, lengths []int, reps int) (*Table, error) {
 	return t, nil
 }
 
+// runE2EChain times reps good queries on the first reps products of a chain
+// of n participants and reps bad queries on the next reps. One more product
+// is never queried: its ownership proof, sized straight from p0, adds a
+// proof-cache miss and no hit.
 func runE2EChain(ps *poc.PublicParams, n, reps int) (good, bad time.Duration, proofBytes int, err error) {
-	g, parts := supplychain.LineGraph(n)
-	members := make(map[poc.ParticipantID]*core.Member, n)
-	for id, p := range parts {
-		members[id] = core.NewMember(ps, p)
-	}
-	tags, err := supplychain.MintTags("e2e", 1)
+	c, err := newChain(ps, n, 2*reps+1, "e2e")
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	dist, err := core.RunDistribution(ps, g, members, "p0", tags, nil, supplychain.FirstChildSplitter, "task-e2e")
+	defer func() { err = errors.Join(err, c.Close()) }()
+
+	proof, err := c.members["p0"].Query(context.Background(), c.dist.TaskID, c.products[2*reps], core.Good)
 	if err != nil {
+		return 0, 0, 0, err
+	}
+	if proofBytes, err = proof.Proof.ZK.Size(); err != nil {
 		return 0, 0, 0, err
 	}
 
-	dir := make(map[poc.ParticipantID]string, n)
-	servers := make([]*node.ParticipantServer, 0, n)
-	defer func() {
-		for _, s := range servers {
-			if cerr := s.Close(); cerr != nil && err == nil {
-				err = cerr
+	d, err := c.serve(core.ProxyConfig{})
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer func() { err = errors.Join(err, d.Close()) }()
+	// measure returns the mean latency of one query of flavour q per id.
+	measure := func(q core.Quality, ids []poc.ProductID) (time.Duration, error) {
+		start := time.Now()
+		for _, id := range ids {
+			result, err := d.client.QueryPath(context.Background(), id, q)
+			if err != nil {
+				return 0, err
+			}
+			if len(result.Path) != n {
+				return 0, fmt.Errorf("%s query for %s identified %d of %d hops", q, id, len(result.Path), n)
 			}
 		}
-	}()
-	for id, m := range members {
-		srv, serr := node.ServeParticipant(context.Background(), "127.0.0.1:0", m)
-		if serr != nil {
-			return 0, 0, 0, serr
-		}
-		servers = append(servers, srv)
-		dir[id] = srv.Addr()
+		return time.Since(start) / time.Duration(len(ids)), nil
 	}
-	directory := node.DirectoryResolver(dir)
-	defer directory.Close()
-	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), directory.Resolver(), core.ProxyConfig{})
-	proxySrv, err := node.ServeProxy(context.Background(), "127.0.0.1:0", proxy)
-	if err != nil {
+	if good, err = measure(core.Good, c.products[:reps]); err != nil {
 		return 0, 0, 0, err
 	}
-	defer func() {
-		if cerr := proxySrv.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	client := node.NewProxyClient(proxySrv.Addr())
-	defer client.Close()
-	// rerr, not err: the named result is read by the deferred Close
-	// handler above, and shadowing it here would be a footgun
-	// (desword/shadow).
-	if rerr := client.RegisterList(context.Background(), "task-e2e", dist.List); rerr != nil {
-		return 0, 0, 0, rerr
-	}
-
-	const product = poc.ProductID("e2e1")
-	good = Measure(reps, func() {
-		result, qerr := client.QueryPath(context.Background(), product, core.Good)
-		if qerr != nil {
-			panic(qerr)
-		}
-		if len(result.Path) != n {
-			panic(fmt.Sprintf("good query identified %d of %d hops", len(result.Path), n))
-		}
-	})
-	bad = Measure(reps, func() {
-		result, qerr := client.QueryPath(context.Background(), product, core.Bad)
-		if qerr != nil {
-			panic(qerr)
-		}
-		if len(result.Path) != n {
-			panic(fmt.Sprintf("bad query identified %d of %d hops", len(result.Path), n))
-		}
-	})
-
-	proof, err := members["p0"].Query(context.Background(), "task-e2e", product, core.Good)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	proofBytes, err = proof.Proof.ZK.Size()
-	if err != nil {
+	if bad, err = measure(core.Bad, c.products[reps:2*reps]); err != nil {
 		return 0, 0, 0, err
 	}
 	return good, bad, proofBytes, nil

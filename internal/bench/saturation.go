@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -13,8 +14,6 @@ import (
 	"desword/internal/core"
 	"desword/internal/node"
 	"desword/internal/poc"
-	"desword/internal/reputation"
-	"desword/internal/supplychain"
 	"desword/internal/zkedb"
 )
 
@@ -57,61 +56,6 @@ type SaturationPoint struct {
 	Done        int     `json:"done"`
 	Shed        int     `json:"shed"`
 	Errors      int     `json:"errors"`
-}
-
-// saturationFixture keeps one set of participant servers alive across the
-// proxy deployments (the proxy tier is what varies, not the supply chain).
-type saturationFixture struct {
-	ps       *poc.PublicParams
-	dist     *core.DistributionResult
-	dir      map[poc.ParticipantID]string
-	products []poc.ProductID
-	cleanup  []func() error
-}
-
-func (fx *saturationFixture) Close() error {
-	var first error
-	for i := len(fx.cleanup) - 1; i >= 0; i-- {
-		if err := fx.cleanup[i](); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-func newSaturationFixture(params zkedb.Params, chain, products int) (*saturationFixture, error) {
-	ps, err := poc.PSGen(params)
-	if err != nil {
-		return nil, err
-	}
-	g, parts := supplychain.LineGraph(chain)
-	members := make(map[poc.ParticipantID]*core.Member, chain)
-	for id, p := range parts {
-		members[id] = core.NewMember(ps, p)
-	}
-	tags, err := supplychain.MintTags("sat", products)
-	if err != nil {
-		return nil, err
-	}
-	dist, err := core.RunDistribution(ps, g, members, "p0", tags, nil, supplychain.FirstChildSplitter, "task-sat")
-	if err != nil {
-		return nil, err
-	}
-	fx := &saturationFixture{ps: ps, dist: dist, dir: make(map[poc.ParticipantID]string, chain)}
-	for id := range dist.Ground.Paths {
-		fx.products = append(fx.products, id)
-	}
-	sort.Slice(fx.products, func(i, j int) bool { return fx.products[i] < fx.products[j] })
-	for id, m := range members {
-		srv, serr := node.ServeParticipant(context.Background(), "127.0.0.1:0", m)
-		if serr != nil {
-			_ = fx.Close()
-			return nil, serr
-		}
-		fx.cleanup = append(fx.cleanup, srv.Close)
-		fx.dir[id] = srv.Addr()
-	}
-	return fx, nil
 }
 
 // runSaturationLevel offers qps for duration against the client, open-loop:
@@ -158,41 +102,23 @@ func runSaturationLevel(client *node.ProxyClient, products []poc.ProductID, qps 
 	return point
 }
 
-// runSaturationRun deploys one proxy flavour over the shared fixture and
+// runSaturationRun deploys one proxy flavour over the shared chain and
 // sweeps it across the offered-load levels.
-func runSaturationRun(fx *saturationFixture, cfg core.ProxyConfig, qpsLevels []int, duration time.Duration, forced bool) (run SaturationRun, err error) {
+func runSaturationRun(c *chain, cfg core.ProxyConfig, qpsLevels []int, duration time.Duration, forced bool) (run SaturationRun, err error) {
 	run = SaturationRun{
 		AdmissionWorkers: cfg.AdmissionWorkers,
 		AdmissionQueue:   cfg.AdmissionQueue,
 		Forced:           forced,
 	}
-	directory := node.DirectoryResolver(fx.dir)
-	defer func() {
-		if cerr := directory.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	proxy := core.NewProxyWithConfig(fx.ps, reputation.DefaultStrategy(), directory.Resolver(), cfg)
-	proxySrv, err := node.ServeProxy(context.Background(), "127.0.0.1:0", proxy)
+	d, err := c.serve(cfg, node.WithPoolSize(64), node.WithRetries(0))
 	if err != nil {
 		return run, err
 	}
-	defer func() {
-		if cerr := proxySrv.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	client := node.NewProxyClient(proxySrv.Addr(), node.WithPoolSize(64), node.WithRetries(0))
-	defer client.Close()
-	// rerr, not err: the named result feeds the deferred Close handlers
-	// (desword/shadow).
-	if rerr := client.RegisterList(context.Background(), "task-sat", fx.dist.List); rerr != nil {
-		return run, rerr
-	}
+	defer func() { err = errors.Join(err, d.Close()) }()
 	for _, qps := range qpsLevels {
-		run.Points = append(run.Points, runSaturationLevel(client, fx.products, qps, duration))
+		run.Points = append(run.Points, runSaturationLevel(d.client, c.products, qps, duration))
 	}
-	stats := proxy.ShardStats()[0]
+	stats := d.proxy.ShardStats()[0]
 	run.Walks, run.Coalesced = stats.Queries, stats.Coalesced
 	return run, nil
 }
@@ -202,22 +128,26 @@ func runSaturationRun(fx *saturationFixture, cfg core.ProxyConfig, qpsLevels []i
 // worker, no waiting room) that guarantees the shedding path is exercised
 // and recorded. When outPath is non-empty the machine-readable report lands
 // there as JSON.
-func RunSaturation(params zkedb.Params, qpsLevels []int, chain, products int, duration time.Duration, outPath string) (*Table, error) {
-	t := &Table{
+func RunSaturation(params zkedb.Params, qpsLevels []int, chainLen, products int, duration time.Duration, outPath string) (t *Table, err error) {
+	t = &Table{
 		Title: "E14: proxy saturation — latency vs offered load",
 		Note: fmt.Sprintf("chain=%d products=%d, open-loop %s per level over TCP (localhost); final row forces overload through a 1-worker gate; walks and coalesced joins are per run",
-			chain, products, duration),
+			chainLen, products, duration),
 		Headers: []string{"run", "offered qps", "achieved qps", "p50", "p99", "shed", "errors", "walks", "coalesced"},
 	}
-	fx, err := newSaturationFixture(params, chain, products)
+	ps, err := poc.PSGen(params)
 	if err != nil {
-		return nil, fmt.Errorf("bench: saturation fixture: %w", err)
+		return nil, err
 	}
-	defer fx.Close()
+	c, err := newChain(ps, chainLen, products, "sat")
+	if err != nil {
+		return nil, fmt.Errorf("bench: saturation chain: %w", err)
+	}
+	defer func() { err = errors.Join(err, c.Close()) }()
 
 	report := &SaturationReport{
 		Title:      t.Title,
-		Chain:      chain,
+		Chain:      chainLen,
 		Products:   products,
 		DurationMS: duration.Milliseconds(),
 	}
@@ -232,7 +162,7 @@ func RunSaturation(params zkedb.Params, qpsLevels []int, chain, products int, du
 				fmt.Sprint(p.Shed), fmt.Sprint(p.Errors), fmt.Sprint(run.Walks), fmt.Sprint(run.Coalesced))
 		}
 	}
-	run, err := runSaturationRun(fx, core.ProxyConfig{AdmissionWorkers: 32, AdmissionQueue: 64}, qpsLevels, duration, false)
+	run, err := runSaturationRun(c, core.ProxyConfig{AdmissionWorkers: 32, AdmissionQueue: 64}, qpsLevels, duration, false)
 	if err != nil {
 		return nil, fmt.Errorf("bench: saturation: %w", err)
 	}
@@ -241,7 +171,7 @@ func RunSaturation(params zkedb.Params, qpsLevels []int, chain, products int, du
 	// Forced overload: one worker, no waiting room — any overlap sheds.
 	maxQPS := qpsLevels[len(qpsLevels)-1]
 	forcedCfg := core.ProxyConfig{AdmissionWorkers: 1, AdmissionQueue: -1}
-	forced, err := runSaturationRun(fx, forcedCfg, []int{maxQPS}, duration, true)
+	forced, err := runSaturationRun(c, forcedCfg, []int{maxQPS}, duration, true)
 	if err != nil {
 		return nil, fmt.Errorf("bench: saturation forced overload: %w", err)
 	}
@@ -249,12 +179,14 @@ func RunSaturation(params zkedb.Params, qpsLevels []int, chain, products int, du
 	addRows(forced)
 
 	if outPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return nil, err
+		// jerr/werr, not err: the named result feeds the deferred Close
+		// (desword/shadow).
+		data, jerr := json.MarshalIndent(report, "", "  ")
+		if jerr != nil {
+			return nil, jerr
 		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("bench: writing saturation report: %w", err)
+		if werr := os.WriteFile(outPath, append(data, '\n'), 0o644); werr != nil {
+			return nil, fmt.Errorf("bench: writing saturation report: %w", werr)
 		}
 	}
 	return t, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"desword/internal/poc"
@@ -139,6 +140,61 @@ func TestReputationDoubleEdge(t *testing.T) {
 		if !onBadPath && ledger.Score(v) <= 0 {
 			t.Fatalf("%s on good path only must have positive score, got %v", v, ledger.Score(v))
 		}
+	}
+}
+
+// TestRepDeltasCountOnlyOwnSettlement pins that a query's rep_deltas carry
+// exactly the awards its own settlement applied. The weigher adjusts v0 once
+// between two awards, standing in for another walk's settlement landing on
+// the shared ledger mid-way; that adjustment must not be charged to this
+// query's wide event.
+func TestRepDeltasCountOnlyOwnSettlement(t *testing.T) {
+	fx := newFixture(t, 8)
+	var (
+		px   *Proxy
+		once sync.Once
+	)
+	strategy := reputation.DefaultStrategy()
+	strategy.Weigh = func(pos, n int) float64 {
+		if pos == 1 {
+			once.Do(func() {
+				px.Ledger().Adjust(reputation.Event{Participant: "v0", Product: "other",
+					Quality: Good, Delta: 1, Reason: "concurrent settlement"})
+			})
+		}
+		return 1
+	}
+	px = NewProxyWithConfig(fx.ps, strategy, func(v poc.ParticipantID) (Responder, error) {
+		return fx.members[v], nil
+	}, ProxyConfig{})
+	if err := px.RegisterList(fx.dist.TaskID, fx.dist.List); err != nil {
+		t.Fatal(err)
+	}
+	var id poc.ProductID
+	for _, p := range sortedProducts(fx) {
+		if len(fx.dist.Ground.Paths[p]) >= 2 {
+			id = p
+			break
+		}
+	}
+	result, err := px.QueryPath(context.Background(), id, Good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(result.Path) < 2 || result.Path[0] != "v0" {
+		t.Fatalf("path for %s = %v, want at least two hops from v0", id, result.Path)
+	}
+	deltas := result.Event.RepDeltas
+	if len(deltas) != len(result.Path) {
+		t.Fatalf("rep_deltas = %v, want one entry per hop of %v", deltas, result.Path)
+	}
+	for _, v := range result.Path {
+		if got := deltas[string(v)]; got != 1 {
+			t.Errorf("rep_deltas[%s] = %v, want 1 (its own award only)", v, got)
+		}
+	}
+	if got := px.Ledger().Score("v0"); got != 2 {
+		t.Fatalf("v0 score = %v, want 2 (own award + the injected one)", got)
 	}
 }
 

@@ -661,29 +661,26 @@ func (px *Proxy) probeChildren(ctx context.Context, list *poc.List, taskID strin
 // settle applies the double-edged award to the identified path and penalizes
 // every detected violation (§II.C). It records the net score change of every
 // affected participant on the result, so the query's wide event carries the
-// reputation consequences alongside the detection that caused them.
+// reputation consequences alongside the detection that caused them. The
+// deltas sum the events this settlement applied, never a score read off the
+// shared ledger, so a concurrent settlement is not charged to this query.
 func (px *Proxy) settle(result *Result) {
 	px.counters.addViolations(result.Violations)
 	countOutcome(result)
-	affected := make(map[poc.ParticipantID]float64, len(result.Path)+len(result.Violations))
-	for _, v := range result.Path {
-		affected[v] = px.ledger.Score(v)
-	}
-	for _, vio := range result.Violations {
-		if _, ok := affected[vio.Participant]; !ok {
-			affected[vio.Participant] = px.ledger.Score(vio.Participant)
-		}
-	}
-	px.strategy.AwardPath(px.ledger, result.Product, result.Quality, result.Path)
+	applied := px.strategy.AwardPath(px.ledger, result.Product, result.Quality, result.Path)
 	for _, v := range result.Violations {
-		px.strategy.PenalizeViolation(px.ledger, v.Participant, result.Product, result.Quality, v.Detail)
+		applied = append(applied, px.strategy.PenalizeViolation(px.ledger, v.Participant, result.Product, result.Quality, v.Detail))
 	}
-	for v, before := range affected {
-		if delta := px.ledger.Score(v) - before; delta != 0 {
-			if result.repDeltas == nil {
-				result.repDeltas = make(map[string]float64, len(affected))
-			}
-			result.repDeltas[string(v)] = delta
+	deltas := make(map[string]float64, len(applied))
+	for _, e := range applied {
+		deltas[string(e.Participant)] += e.Delta
+	}
+	for v, d := range deltas {
+		if d == 0 {
+			delete(deltas, v)
 		}
+	}
+	if len(deltas) > 0 {
+		result.repDeltas = deltas
 	}
 }

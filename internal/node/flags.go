@@ -18,8 +18,6 @@ type ClientConfig struct {
 	Retries int
 	// RetryBackoff is the sleep before the first retry; doubles per attempt.
 	RetryBackoff time.Duration
-	// DialPerRequest disables connection reuse (the historical transport).
-	DialPerRequest bool
 }
 
 // RegisterFlags registers the transport flags on fs (use flag.CommandLine in
@@ -46,20 +44,15 @@ func (c *ClientConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&c.IdleTimeout, "pool-idle-timeout", c.IdleTimeout, "idle time before a pooled connection is reaped")
 	fs.IntVar(&c.Retries, "retries", c.Retries, "retry attempts after a failed exchange")
 	fs.DurationVar(&c.RetryBackoff, "retry-backoff", c.RetryBackoff, "sleep before the first retry (doubles per attempt)")
-	fs.BoolVar(&c.DialPerRequest, "dial-per-request", c.DialPerRequest, "disable connection reuse: dial a fresh connection per exchange")
 }
 
 // Options translates the configuration into client Options.
 func (c *ClientConfig) Options() []Option {
-	opts := []Option{
+	return []Option{
 		WithTimeout(c.Timeout),
 		WithPoolSize(c.PoolSize),
 		WithIdleTimeout(c.IdleTimeout),
 		WithRetries(c.Retries),
 		WithRetryBackoff(c.RetryBackoff),
 	}
-	if c.DialPerRequest {
-		opts = append(opts, WithDialPerRequest())
-	}
-	return opts
 }

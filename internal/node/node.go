@@ -48,7 +48,6 @@ type options struct {
 	admissionQueue   int
 
 	// Pooled-transport tunables (clients only).
-	pooled        bool
 	poolSize      int
 	idleTimeout   time.Duration
 	retries       int
@@ -166,19 +165,10 @@ func WithCooldown(d time.Duration) Option {
 	}
 }
 
-// WithDialPerRequest disables connection reuse: every exchange dials a
-// fresh connection and closes it afterwards, reproducing the historical
-// transport. Kept for A/B measurement (desword-bench -exp transport) and as
-// an escape hatch behind middleboxes that dislike long-lived connections.
-func WithDialPerRequest() Option {
-	return func(o *options) { o.pooled = false }
-}
-
 func applyOptions(opts []Option) options {
 	o := options{
 		timeout:       DefaultTimeout,
 		drainGrace:    DefaultDrainGrace,
-		pooled:        true,
 		poolSize:      DefaultPoolSize,
 		idleTimeout:   DefaultIdleTimeout,
 		retries:       DefaultRetries,

@@ -106,8 +106,7 @@ type Pool struct {
 	addr string
 	o    options
 
-	// sem bounds open connections; nil in dial-per-request mode, where the
-	// pool degrades to the historical one-dial-per-exchange behaviour.
+	// sem bounds open connections.
 	sem chan struct{}
 
 	mu     sync.Mutex
@@ -127,11 +126,7 @@ type Pool struct {
 // NewPool creates a pooled transport for one endpoint address.
 func NewPool(addr string, opts ...Option) *Pool {
 	o := applyOptions(opts)
-	p := &Pool{addr: addr, o: o}
-	if o.pooled {
-		p.sem = make(chan struct{}, o.poolSize)
-	}
-	return p
+	return &Pool{addr: addr, o: o, sem: make(chan struct{}, o.poolSize)}
 }
 
 // Addr returns the endpoint address the pool dials.
@@ -326,18 +321,16 @@ func (p *Pool) get(ctx context.Context) (net.Conn, bool, error) {
 	if err := p.checkHealth(); err != nil {
 		return nil, false, err
 	}
-	if p.sem != nil {
+	select {
+	case p.sem <- struct{}{}:
+	default:
+		// Pool exhausted: queue for a slot.
+		p.waits.Add(1)
+		poolConns.waits.Inc()
 		select {
 		case p.sem <- struct{}{}:
-		default:
-			// Pool exhausted: queue for a slot.
-			p.waits.Add(1)
-			poolConns.waits.Inc()
-			select {
-			case p.sem <- struct{}{}:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
 		}
 	}
 	if conn := p.takeIdle(); conn != nil {
@@ -390,7 +383,7 @@ func (p *Pool) takeIdle() net.Conn {
 // the idle set for reuse; anything else is closed.
 func (p *Pool) put(conn net.Conn, healthy bool) {
 	defer p.releaseSlot()
-	if healthy && p.o.pooled {
+	if healthy {
 		p.mu.Lock()
 		if !p.closed {
 			p.idle = append(p.idle, pooledConn{conn: conn, idleSince: time.Now()})
@@ -407,12 +400,8 @@ func (p *Pool) put(conn net.Conn, healthy bool) {
 	poolConns.open.Dec()
 }
 
-// releaseSlot frees a semaphore slot (no-op in dial-per-request mode).
-func (p *Pool) releaseSlot() {
-	if p.sem != nil {
-		<-p.sem
-	}
-}
+// releaseSlot frees a semaphore slot.
+func (p *Pool) releaseSlot() { <-p.sem }
 
 // checkHealth fails fast while the endpoint is cooling down.
 func (p *Pool) checkHealth() error {

@@ -422,39 +422,58 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fams := make([]*family, 0, len(names))
+	views := make([]familyView, 0, len(names))
 	for _, name := range names {
-		fams = append(fams, r.families[name])
+		views = append(views, r.families[name].view())
 	}
 	r.mu.RUnlock()
 
-	for _, f := range fams {
-		if err := f.write(w); err != nil {
+	for _, v := range views {
+		if err := v.write(w); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// write renders one family. The registry lock is not held: series maps only
-// grow, and values are read atomically, so a racing scrape sees a consistent
-// point-in-time view of each series.
-func (f *family) write(w io.Writer) error {
-	if f.help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
+// familyView is what a scrape renders of one family: its help text and its
+// series in sorted order.
+type familyView struct {
+	f      *family
+	help   string
+	series []*series
+}
+
+// view copies the family's help text and series. The caller holds the
+// registry lock: lookup sets the help text and inserts series under it.
+func (f *family) view() familyView {
+	keys := make([]string, 0, len(f.series))
+	for k := range f.series {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	v := familyView{f: f, help: f.help, series: make([]*series, len(keys))}
+	for i, k := range keys {
+		v.series[i] = f.series[k]
+	}
+	return v
+}
+
+// write renders one family. The registry lock is not held: values are read
+// atomically, so a racing scrape sees a consistent point-in-time view of
+// each series.
+func (v familyView) write(w io.Writer) error {
+	f := v.f
+	if v.help != "" {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(v.help)); err != nil {
 			return err
 		}
 	}
 	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 		return err
 	}
-	keys := make([]string, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := f.series[k].write(w, f); err != nil {
+	for _, s := range v.series {
+		if err := s.write(w, f); err != nil {
 			return err
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"desword/internal/obs"
 )
 
 // countProofs installs a hook counting underlying proof computations on dp.
@@ -57,7 +59,9 @@ func TestProveSingleFlight(t *testing.T) {
 }
 
 // TestProveCacheHit pins that sequential repeats are served from cache while
-// distinct ids each compute once.
+// distinct ids each compute once. It reads the counters by their exported
+// names, the way the benchmark derives poc.proofcache.hit_ratio, so renaming
+// a metric fails here instead of silently zeroing that ratio.
 func TestProveCacheHit(t *testing.T) {
 	ps := testPS(t)
 	_, dpoc, err := Agg(ps, "v1", sampleTraces("v1", 2), AggOptions{})
@@ -65,7 +69,9 @@ func TestProveCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	computed := countProofs(dpoc)
-	hits0 := cacheMetrics().hits.Value()
+	hits := obs.Default.Counter("desword_proofcache_hits", "")
+	misses := obs.Default.Counter("desword_proofcache_misses", "")
+	hits0, misses0 := hits.Value(), misses.Value()
 
 	for i := 0; i < 3; i++ {
 		if _, err := dpoc.Prove(context.Background(), "id-00"); err != nil {
@@ -78,8 +84,11 @@ func TestProveCacheHit(t *testing.T) {
 	if got := computed.Load(); got != 2 {
 		t.Errorf("computed %d proofs, want 2 (one per distinct id)", got)
 	}
-	if gotHits := cacheMetrics().hits.Value() - hits0; gotHits != 2 {
-		t.Errorf("hit counter advanced by %d, want 2", gotHits)
+	if got := hits.Value() - hits0; got != 2 {
+		t.Errorf("desword_proofcache_hits advanced by %d, want 2", got)
+	}
+	if got := misses.Value() - misses0; got != 2 {
+		t.Errorf("desword_proofcache_misses advanced by %d, want 2", got)
 	}
 }
 

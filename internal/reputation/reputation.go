@@ -176,12 +176,14 @@ func DefaultStrategy() Strategy {
 }
 
 // AwardPath applies the double-edged award to an identified path: positive
-// scores for a good product, negative scores for a bad one (Figure 2).
-func (s Strategy) AwardPath(l *Ledger, id supplychain.ProductID, q Quality, path []supplychain.ParticipantID) {
+// scores for a good product, negative scores for a bad one (Figure 2). It
+// returns the events it applied, in path order.
+func (s Strategy) AwardPath(l *Ledger, id supplychain.ProductID, q Quality, path []supplychain.ParticipantID) []Event {
 	weigh := s.Weigh
 	if weigh == nil {
 		weigh = UniformWeigher
 	}
+	var applied []Event
 	for pos, v := range path {
 		w := weigh(pos, len(path))
 		var e Event
@@ -196,12 +198,17 @@ func (s Strategy) AwardPath(l *Ledger, id supplychain.ProductID, q Quality, path
 			continue
 		}
 		l.Adjust(e)
+		applied = append(applied, e)
 	}
+	return applied
 }
 
 // PenalizeViolation applies the extra penalty for a participant whose
-// dishonest behaviour was cryptographically detected during a query.
-func (s Strategy) PenalizeViolation(l *Ledger, v supplychain.ParticipantID, id supplychain.ProductID, q Quality, reason string) {
-	l.Adjust(Event{Participant: v, Product: id, Quality: q,
-		Delta: -s.ViolationPenalty, Reason: "violation: " + reason})
+// dishonest behaviour was cryptographically detected during a query, and
+// returns the event it applied.
+func (s Strategy) PenalizeViolation(l *Ledger, v supplychain.ParticipantID, id supplychain.ProductID, q Quality, reason string) Event {
+	e := Event{Participant: v, Product: id, Quality: q,
+		Delta: -s.ViolationPenalty, Reason: "violation: " + reason}
+	l.Adjust(e)
+	return e
 }

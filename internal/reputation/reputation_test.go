@@ -92,8 +92,8 @@ func TestAwardPathDoubleEdge(t *testing.T) {
 func TestAwardPathUnknownQualityNoop(t *testing.T) {
 	s := DefaultStrategy()
 	l := NewLedger()
-	s.AwardPath(l, "id1", Quality(0), []supplychain.ParticipantID{"a"})
-	if len(l.AuditLog()) != 0 {
+	applied := s.AwardPath(l, "id1", Quality(0), []supplychain.ParticipantID{"a"})
+	if len(l.AuditLog()) != 0 || len(applied) != 0 {
 		t.Fatal("unknown quality must not award")
 	}
 }
@@ -123,23 +123,36 @@ func TestAwardPathWithResponsibilityWeights(t *testing.T) {
 	s := Strategy{NegativeUnit: 2, Weigh: ResponsibilityWeigher}
 	l := NewLedger()
 	path := []supplychain.ParticipantID{"head", "mid", "tail"}
-	s.AwardPath(l, "id1", Bad, path)
+	applied := s.AwardPath(l, "id1", Bad, path)
 	if !(l.Score("head") < l.Score("mid") && l.Score("mid") < l.Score("tail")) {
 		t.Fatalf("upstream participants must be penalized more: head=%v mid=%v tail=%v",
 			l.Score("head"), l.Score("mid"), l.Score("tail"))
+	}
+	// The returned events are exactly the ledger's, in path order.
+	log := l.AuditLog()
+	if len(applied) != len(log) {
+		t.Fatalf("AwardPath returned %d events, ledger holds %d", len(applied), len(log))
+	}
+	for i, e := range applied {
+		if e != log[i].Event {
+			t.Fatalf("event %d: returned %+v, ledger %+v", i, e, log[i].Event)
+		}
 	}
 }
 
 func TestPenalizeViolation(t *testing.T) {
 	s := DefaultStrategy()
 	l := NewLedger()
-	s.PenalizeViolation(l, "cheater", "id1", Bad, "claim non-processing")
+	e := s.PenalizeViolation(l, "cheater", "id1", Bad, "claim non-processing")
 	if got := l.Score("cheater"); got != -s.ViolationPenalty {
 		t.Fatalf("Score(cheater) = %v", got)
 	}
 	log := l.AuditLog()
 	if len(log) != 1 || log[0].Event.Reason == "" {
 		t.Fatal("violation must be recorded with a reason")
+	}
+	if e != log[0].Event {
+		t.Fatalf("PenalizeViolation returned %+v, ledger holds %+v", e, log[0].Event)
 	}
 }
 
