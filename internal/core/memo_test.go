@@ -78,7 +78,8 @@ func TestVerifyMemoWarmEqualsCold(t *testing.T) {
 }
 
 // proofMutator answers for one member, altering every proof of one kind it
-// serves to queries.
+// serves to queries and handing it over in received form, its bytes only,
+// so every mutation reaches the memo through the byte key.
 type proofMutator struct {
 	*Member
 	kind   poc.ProofKind
@@ -90,7 +91,7 @@ func (m proofMutator) Query(ctx context.Context, taskID string, id poc.ProductID
 	if err != nil || resp.Proof == nil || resp.Proof.Kind != m.kind {
 		return resp, err
 	}
-	data, err := resp.Proof.ZK.MarshalBinary()
+	data, err := resp.Proof.Encoding()
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +100,11 @@ func (m proofMutator) Query(ctx context.Context, taskID string, id poc.ProductID
 		return nil, err
 	}
 	m.mutate(&zk)
-	return &Response{Claim: resp.Claim, Proof: &poc.Proof{Kind: resp.Proof.Kind, ZK: &zk}, Next: resp.Next}, nil
+	mutated, err := zk.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
+	return &Response{Claim: resp.Claim, Proof: poc.ProofFromBytes(resp.Proof.Kind, mutated), Next: resp.Next}, nil
 }
 
 // fieldMutation changes exactly one field of a proof.

@@ -2,7 +2,9 @@ package node
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -81,34 +83,45 @@ func TestNetworkBatchScoresAndAudit(t *testing.T) {
 
 // TestNetworkBatchSchemaRejected pins the envelope compat contract: a batch
 // request stamped with a future schema version is rejected loudly, not
-// half-understood.
+// half-understood — also when the version hides in a case variant of the
+// schema key, which encoding/json matches case-insensitively and lets
+// override the exact key: the gate sees the value that took effect.
 func TestNetworkBatchSchemaRejected(t *testing.T) {
 	d := deploy(t, 3, nil)
-	conn, err := net.Dial("tcp", d.client.Pool().Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteMessage(conn, wire.TypeQueryPathBatch, wire.QueryPathBatchRequest{
+	newer, err := json.Marshal(wire.QueryPathBatchRequest{
 		Schema:   wire.BatchSchemaVersion + 1,
 		Products: []poc.ProductID{d.product},
 		Quality:  int(core.Good),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := wire.ReadMessage(conn)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Type != wire.TypeError {
-		t.Fatalf("future schema answered with %q, want error", env.Type)
-	}
-	var er wire.ErrorResponse
-	if err := env.Decode(&er); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(er.Message, "schema") {
-		t.Fatalf("error %q does not name the schema mismatch", er.Message)
+	for _, payload := range []string{
+		string(newer),
+		fmt.Sprintf(`{"schema":%d,"products":[%q],"quality":%d,"SCHEMA":99}`, wire.BatchSchemaVersion, d.product, core.Good),
+	} {
+		conn, err := net.Dial("tcp", d.client.Pool().Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := wire.WriteEnvelope(conn, &wire.Envelope{Type: wire.TypeQueryPathBatch, Payload: json.RawMessage(payload)}); err != nil {
+			t.Fatal(err)
+		}
+		env, err := wire.ReadMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Type != wire.TypeError {
+			t.Fatalf("%s: answered with %q, want error", payload, env.Type)
+		}
+		var er wire.ErrorResponse
+		if err := env.Decode(&er); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(er.Message, "schema") {
+			t.Fatalf("%s: error %q does not name the schema mismatch", payload, er.Message)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package poc
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -29,51 +30,58 @@ var memoMetrics = sync.OnceValue(func() *cacheCounters {
 })
 
 // memoKey is SHA-256 over the length-prefixed POC commitment, product id,
-// outer proof kind and the proof's compact encoding.
+// outer proof kind and the proof's compact encoding, as received.
 type memoKey [sha256.Size]byte
 
 // VerifyMemo remembers proofs that passed POC-Verify, so a verifier shown the
 // same proof again — byte for byte, under the same POC and product id —
-// accepts it without re-running the openings. It holds keys only: Verify is
-// deterministic, and an accepted proof's verdict is a function of the proof
-// itself (the committed trace it carries, or nothing for non-ownership), so
-// a hit rebuilds the verdict from the proof in hand. Rejections are never
-// remembered. A POC never changes once aggregated (Update mints a new
-// commitment, hence new keys), so entries never need invalidating; the LRU
-// bound is the only way out. See DESIGN.md §10.
+// accepts it without re-running the openings. It is keyed on the bytes the
+// proof arrived as, and each key holds the trace value the verification
+// recovered (nothing for non-ownership), so a hit neither encodes nor
+// decodes: equal keys mean equal bytes, and equal bytes are one proof.
+// Rejections are never remembered. A POC never changes once aggregated
+// (Update mints a new commitment, hence new keys), so entries never need
+// invalidating; the LRU bound is the only way out. See DESIGN.md §10.
 type VerifyMemo struct {
 	ps  *PublicParams
-	lru *lru[memoKey, struct{}]
+	lru *lru[memoKey, []byte]
 }
 
 // NewVerifyMemo builds an empty memo of at most size keys (at least one) for
 // proofs verified under ps.
 func NewVerifyMemo(ps *PublicParams, size int) *VerifyMemo {
-	return &VerifyMemo{ps: ps, lru: newLRU[memoKey, struct{}](max(size, 1), memoMetrics().evictions)}
+	return &VerifyMemo{ps: ps, lru: newLRU[memoKey, []byte](max(size, 1), memoMetrics().evictions)}
 }
 
 // Verify is POC-Verify (see Verify) through the memo: it returns exactly what
 // Verify(ctx, ps, credential, id, proof) would. Malformed framing (a nil
 // proof, an unknown or relabelled kind) is rejected before the memo is
-// consulted, and a proof that cannot be encoded bypasses it. Concurrent
-// calls for one key verify once; the followers of a leader whose proof was
-// rejected verify their own. A hit records a zero-work "zkedb.verify" span
-// tagged memo=hit, so hop timelines keep one span name.
+// consulted, and a proof assembled around a ZK the encoding cannot carry
+// bypasses it. Concurrent calls for one key verify once; the followers of a
+// leader whose proof was rejected verify their own. A hit records a
+// zero-work "zkedb.verify" span tagged memo=hit, so hop timelines keep one
+// span name.
 func (m *VerifyMemo) Verify(ctx context.Context, credential POC, id ProductID, proof *Proof) (*Trace, error) {
-	if err := checkKind(proof); err != nil {
+	inner, err := checkKind(proof)
+	if err != nil {
 		return nil, err
 	}
-	key, ok := keyOf(credential, id, proof)
-	if !ok {
-		return verifyZK(ctx, m.ps, credential, id, proof)
+	data, err := proof.Encoding()
+	if err != nil {
+		return verifyProof(ctx, m.ps, credential, id, proof)
 	}
+	key := keyOf(credential, id, proof.Kind, data)
 	for {
 		ent, leader := m.lru.getOrLead(key)
 		if leader {
 			memoMetrics().misses.Inc()
 			events.ScopeFrom(ctx).MemoMiss()
-			tr, err := verifyZK(ctx, m.ps, credential, id, proof)
-			m.lru.finish(ent, struct{}{}, err)
+			tr, err := verifyProof(ctx, m.ps, credential, id, proof)
+			var value []byte
+			if tr != nil {
+				value = bytes.Clone(tr.Data)
+			}
+			m.lru.finish(ent, value, err)
 			return tr, err
 		}
 		// No ctx select: the leader always finishes, and verification
@@ -87,31 +95,25 @@ func (m *VerifyMemo) Verify(ctx context.Context, credential POC, id ProductID, p
 		params := m.ps.CRS.Params
 		_, span := trace.Default.StartChild(ctx, "zkedb.verify",
 			trace.Int("q", params.Q), trace.Int("h", params.H),
-			trace.String("kind", proof.ZK.Kind.String()), trace.String("memo", "hit"))
+			trace.String("kind", inner.String()), trace.String("memo", "hit"))
 		span.End()
 		if proof.Kind == Ownership {
-			return &Trace{Product: id, Data: proof.ZK.Value}, nil
+			return &Trace{Product: id, Data: bytes.Clone(ent.val)}, nil
 		}
 		return nil, nil
 	}
 }
 
-// keyOf derives the memo key, or reports false when the proof cannot be
-// encoded. It relies on zkedb.Proof.MarshalBinary being faithful: equal
-// bytes decode to one proof, so equal keys mean equal Verify inputs.
-func keyOf(credential POC, id ProductID, proof *Proof) (memoKey, bool) {
-	body, err := proof.ZK.MarshalBinary()
-	if err != nil {
-		return memoKey{}, false
-	}
+// keyOf derives the memo key from the proof's encoding.
+func keyOf(credential POC, id ProductID, kind ProofKind, data []byte) memoKey {
 	h := sha256.New()
 	writeField(h, credential.Com.Bytes())
 	writeField(h, []byte(id))
-	writeField(h, []byte{byte(proof.Kind)})
-	writeField(h, body)
+	writeField(h, []byte{byte(kind)})
+	writeField(h, data)
 	var key memoKey
 	h.Sum(key[:0])
-	return key, true
+	return key
 }
 
 // writeField hashes b behind its 8-byte length, so field boundaries cannot

@@ -1,17 +1,19 @@
 package poc
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
+	"desword/internal/supplychain"
 	"desword/internal/trace"
-	"desword/internal/zkedb"
 )
 
 // memoFixture is one participant's POC with an honest ownership proof
@@ -60,18 +62,25 @@ func (fx *memoFixture) honest() []provenProof {
 	return []provenProof{{fx.ownID, fx.own}, {fx.absent, fx.nonOwn}}
 }
 
-// cloneProof deep-copies a proof through its encoding, as the wire would.
-func cloneProof(t testing.TB, p *Proof) *Proof {
+// received copies a proof into the form the wire delivers: its bytes only.
+func received(t testing.TB, p *Proof) *Proof {
 	t.Helper()
-	data, err := p.ZK.MarshalBinary()
+	data, err := p.Encoding()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var zk zkedb.Proof
-	if err := zk.UnmarshalBinary(data); err != nil {
+	return ProofFromBytes(p.Kind, bytes.Clone(data))
+}
+
+// cloneProof deep-copies a proof's content through its encoding, for a
+// test to edit.
+func cloneProof(t testing.TB, p *Proof) *Proof {
+	t.Helper()
+	zk, err := received(t, p).content()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &Proof{Kind: p.Kind, ZK: &zk}
+	return &Proof{Kind: p.Kind, ZK: zk}
 }
 
 // memoCounts reads the process-wide memo counters; tests compare deltas.
@@ -107,7 +116,7 @@ func TestVerifyMemoHitReturnsVerdict(t *testing.T) {
 		got, err := memo.Verify(ctx, fx.credential, c.id, c.proof)
 		sameVerdict(t, "cold "+c.proof.Kind.String(), got, err, want, wantErr)
 		// The wire hands the proxy a fresh copy of the same bytes.
-		got, err = memo.Verify(ctx, fx.credential, c.id, cloneProof(t, c.proof))
+		got, err = memo.Verify(ctx, fx.credential, c.id, received(t, c.proof))
 		sameVerdict(t, "warm "+c.proof.Kind.String(), got, err, want, wantErr)
 		hits, misses := memoCounts()
 		if hits-hits0 != 1 || misses-misses0 != 1 {
@@ -350,7 +359,8 @@ func TestVerifyMemoConcurrent(t *testing.T) {
 }
 
 // TestVerifyMemoFootprint measures what the proxy's memo costs when full:
-// 4 096 keys (the proxy-wide bound in core) must stay near 1 MiB.
+// 4 096 keys (the proxy-wide bound in core), each holding the trace value
+// an ownership proof recovers, must stay under 2 MiB.
 func TestVerifyMemoFootprint(t *testing.T) {
 	const keys = 4096
 	heap := func() uint64 {
@@ -360,17 +370,98 @@ func TestVerifyMemoFootprint(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := heap()
-	memo := newLRU[memoKey, struct{}](keys, memoMetrics().evictions)
+	memo := newLRU[memoKey, []byte](keys, memoMetrics().evictions)
 	for i := 0; i < keys; i++ {
 		var n [8]byte
 		binary.BigEndian.PutUint64(n[:], uint64(i))
 		ent, _ := memo.getOrLead(sha256.Sum256(n[:]))
-		memo.finish(ent, struct{}{}, nil)
+		memo.finish(ent, supplychain.DefaultTraceData("p1", ProductID(fmt.Sprintf("lot-%d-product-%d", i/16, i))), nil)
 	}
 	grown := heap() - before
 	runtime.KeepAlive(memo)
 	t.Logf("%d keys: %d bytes resident, %d per key", keys, grown, grown/keys)
-	if grown > 3<<19 {
-		t.Fatalf("a full memo holds %d bytes, want at most 1.5 MiB", grown)
+	if grown > 2<<20 {
+		t.Fatalf("a full memo holds %d bytes, want at most 2 MiB", grown)
+	}
+}
+
+// TestVerifyMemoHitDoesNotDecode pins that a hit on a received proof costs
+// a handful of allocations — the key's hashing and the returned trace —
+// where decoding a proof costs hundreds: a hit neither encodes nor decodes.
+func TestVerifyMemoHitDoesNotDecode(t *testing.T) {
+	fx := newMemoFixture(t)
+	memo := NewVerifyMemo(fx.ps, 16)
+	ctx := context.Background()
+	proof := received(t, fx.own)
+	if _, err := memo.Verify(ctx, fx.credential, fx.ownID, proof); err != nil {
+		t.Fatal(err)
+	}
+	hits0, _ := memoCounts()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := memo.Verify(ctx, fx.credential, fx.ownID, proof); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hits, _ := memoCounts(); hits-hits0 != 101 {
+		t.Fatalf("%d hits in 101 calls", hits-hits0)
+	}
+	decodes := testing.AllocsPerRun(10, func() {
+		if _, err := proof.content(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("memo hit: %v allocations; decoding the proof: %v", allocs, decodes)
+	if allocs > memoHitAllocs {
+		t.Fatalf("a memo hit on a received proof made %v allocations, want at most %d", allocs, memoHitAllocs)
+	}
+}
+
+// memoHitAllocs is the allocation count of a memo hit on a received proof,
+// as measured: hashing the key (the digest state, the length prefixes, the
+// POC, product and kind bytes) and the returned trace with its copied value.
+const memoHitAllocs = 13
+
+// TestProofEncodingFollowsZK pins the encode-once invariant: a proof's
+// stored encoding stands for it only while ZK is the value it was computed
+// from. A copy with an edited ZK swapped in — the adversary's wrong-trace
+// forgery — ships and is memo-keyed by its own bytes, so a memoized honest
+// proof cannot vouch for it; and verifying a received proof never writes to
+// it.
+func TestProofEncodingFollowsZK(t *testing.T) {
+	fx := newMemoFixture(t)
+	memo := NewVerifyMemo(fx.ps, 16)
+	ctx := context.Background()
+	if _, err := memo.Verify(ctx, fx.credential, fx.ownID, fx.own); err != nil {
+		t.Fatal(err)
+	}
+	forged := *fx.own
+	forgedZK := *forged.ZK
+	forgedZK.Value = []byte("laundered production record")
+	forged.ZK = &forgedZK
+	data, err := forged.Encoding()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := forgedZK.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatal("a copy with a swapped ZK kept the original's encoding")
+	}
+	for _, p := range []*Proof{&forged, received(t, &forged)} {
+		if _, err := memo.Verify(ctx, fx.credential, fx.ownID, p); !errors.Is(err, ErrBadProof) {
+			t.Fatalf("forged trace accepted through the memo: %v", err)
+		}
+	}
+	in := received(t, fx.own)
+	if _, err := Verify(ctx, fx.ps, fx.credential, fx.ownID, in); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewVerifyMemo(fx.ps, 4).Verify(ctx, fx.credential, fx.ownID, in); err != nil {
+		t.Fatal(err)
+	}
+	if in.ZK != nil {
+		t.Fatal("verifying a received proof wrote its decoding into the proof")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"desword/internal/supplychain"
 )
@@ -51,12 +52,28 @@ func chainDigest(prev [32]byte, seq uint64, e Event) [32]byte {
 	return out
 }
 
-// AuditLog returns a copy of the chained history.
+// AuditLog returns a copy of the chained history. It copies the records
+// under the read lock and rebuilds the entries, digests included, outside
+// it.
 func (l *Ledger) AuditLog() []AuditEntry {
 	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]AuditEntry, len(l.audit))
-	copy(out, l.audit)
+	records := slices.Clone(l.records)
+	ids, labels := l.ids.vals, l.labels.vals
+	l.mu.RUnlock()
+	out := make([]AuditEntry, len(records))
+	var prev [32]byte
+	for i, r := range records {
+		lb := labels[r.label]
+		e := Event{
+			Participant: supplychain.ParticipantID(ids[r.participant]),
+			Product:     supplychain.ProductID(ids[r.product]),
+			Quality:     lb.quality,
+			Delta:       r.delta,
+			Reason:      lb.reason,
+		}
+		prev = chainDigest(prev, uint64(i), e)
+		out[i] = AuditEntry{Seq: uint64(i), Event: e, Digest: prev}
+	}
 	return out
 }
 
@@ -66,11 +83,7 @@ func (l *Ledger) AuditLog() []AuditEntry {
 func (l *Ledger) Head() ([32]byte, uint64) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if len(l.audit) == 0 {
-		return [32]byte{}, 0
-	}
-	last := l.audit[len(l.audit)-1]
-	return last.Digest, last.Seq + 1
+	return l.head, uint64(len(l.records))
 }
 
 // VerifyAuditChain re-derives every digest of a published history and checks

@@ -63,10 +63,53 @@ type Event struct {
 
 // Ledger holds publicly accessible reputation scores. Safe for concurrent
 // use.
+//
+// The audit history grows with every award, so it is kept compact: one
+// 24-byte record per event, its strings interned, its seq implied by its
+// position and its digest recomputed on demand (AuditLog). Only the running
+// head digest is stored.
 type Ledger struct {
-	mu     sync.RWMutex
-	scores map[supplychain.ParticipantID]float64 // guarded by mu
-	audit  []AuditEntry                          // guarded by mu
+	mu      sync.RWMutex
+	scores  map[supplychain.ParticipantID]float64 // guarded by mu
+	records []record                              // guarded by mu
+	ids     interner[string]                      // participant and product ids; guarded by mu
+	labels  interner[label]                       // guarded by mu
+	head    [32]byte                              // digest of the last record; guarded by mu
+}
+
+// record is one audited event: participant and product index ids, label
+// indexes labels.
+type record struct {
+	participant, product, label uint32
+	delta                       float64
+}
+
+// label is an event's reason and quality, interned together: a ledger sees
+// a handful of distinct pairs, however many events it records.
+type label struct {
+	reason  string
+	quality Quality
+}
+
+// interner maps each distinct value to a dense index. Values are only
+// appended, so a copy of vals taken under the ledger's lock stays valid
+// after it is released.
+type interner[T comparable] struct {
+	index map[T]uint32
+	vals  []T
+}
+
+func (t *interner[T]) id(v T) uint32 {
+	if i, ok := t.index[v]; ok {
+		return i
+	}
+	if t.index == nil {
+		t.index = make(map[T]uint32)
+	}
+	i := uint32(len(t.vals))
+	t.index[v] = i
+	t.vals = append(t.vals, v)
+	return i
 }
 
 // NewLedger returns an empty ledger.
@@ -86,15 +129,12 @@ func (l *Ledger) Adjust(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.scores[e.Participant] += e.Delta
-	var prev [32]byte
-	if n := len(l.audit); n > 0 {
-		prev = l.audit[n-1].Digest
-	}
-	seq := uint64(len(l.audit))
-	l.audit = append(l.audit, AuditEntry{
-		Seq:    seq,
-		Event:  e,
-		Digest: chainDigest(prev, seq, e),
+	l.head = chainDigest(l.head, uint64(len(l.records)), e)
+	l.records = append(l.records, record{
+		participant: l.ids.id(string(e.Participant)),
+		product:     l.ids.id(string(e.Product)),
+		label:       l.labels.id(label{reason: e.Reason, quality: e.Quality}),
+		delta:       e.Delta,
 	})
 }
 

@@ -1,7 +1,10 @@
 package reputation
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -162,5 +165,82 @@ func TestQualityString(t *testing.T) {
 	}
 	if Quality(7).String() == "" {
 		t.Fatal("unknown quality must render non-empty")
+	}
+}
+
+// TestLedgerRecordFootprint pins the audit history's compact form: 100 000
+// awards over a realistic set of participants and products hold at most 40
+// bytes each, interned strings and slice headroom included.
+func TestLedgerRecordFootprint(t *testing.T) {
+	const awards, products = 100_000, 500
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	path := []supplychain.ParticipantID{"p0", "p1", "p2", "p3"}
+	ids := make([]supplychain.ProductID, products)
+	for i := range ids {
+		ids[i] = supplychain.ProductID(fmt.Sprintf("lot-%08d-product-%06d", i/16, i))
+	}
+	s := DefaultStrategy()
+	before := heap()
+	l := NewLedger()
+	for i := 0; i < awards/len(path); i++ {
+		s.AwardPath(l, ids[i%products], Quality(1+i%2), path)
+	}
+	grown := heap() - before
+	runtime.KeepAlive(l)
+	perEntry := float64(grown) / awards
+	t.Logf("%d awards: %d bytes resident, %.1f per entry", awards, grown, perEntry)
+	if perEntry > 40 {
+		t.Fatalf("the ledger holds %.1f bytes per entry, want at most 40", perEntry)
+	}
+}
+
+// TestAuditLogRoundTripsMixedHistory pins that the compact records lose
+// nothing: a history of awards and violations, with repeated and unusual
+// values, comes back from AuditLog event for event, and its digests chain to
+// the head Adjust kept.
+func TestAuditLogRoundTripsMixedHistory(t *testing.T) {
+	l := NewLedger()
+	s := DefaultStrategy()
+	var applied []Event
+	for i := 0; i < 3; i++ {
+		product := supplychain.ProductID(fmt.Sprintf("id%d", i))
+		applied = append(applied, s.AwardPath(l, product, Good, []supplychain.ParticipantID{"a", "b", "c"})...)
+		applied = append(applied, s.PenalizeViolation(l, "b", product, Bad, fmt.Sprintf("wrong-next-hop %d", i%2)))
+		applied = append(applied, s.AwardPath(l, product, Bad, []supplychain.ParticipantID{"c", "a"})...)
+	}
+	for _, e := range []Event{
+		{Participant: "a", Product: "id0", Quality: Quality(1 << 40), Delta: math.Pi, Reason: "odd quality"},
+		{Participant: "", Product: "", Quality: 0, Delta: 0, Reason: ""},
+		{Participant: "d", Product: "id1", Quality: Good, Delta: -1e-9, Reason: "good path"},
+		{Participant: "d", Product: "id1", Quality: Bad, Delta: 7, Reason: "good path"},
+	} {
+		l.Adjust(e)
+		applied = append(applied, e)
+	}
+	log := l.AuditLog()
+	if len(log) != len(applied) {
+		t.Fatalf("%d entries for %d events", len(log), len(applied))
+	}
+	var prev [32]byte
+	for i, entry := range log {
+		if entry.Seq != uint64(i) || !reflect.DeepEqual(entry.Event, applied[i]) {
+			t.Fatalf("entry %d = %+v, applied %+v", i, entry, applied[i])
+		}
+		prev = chainDigest(prev, uint64(i), applied[i])
+		if entry.Digest != prev {
+			t.Fatalf("entry %d digest differs from the chain over the applied events", i)
+		}
+	}
+	head, count := l.Head()
+	if head != prev || count != uint64(len(applied)) {
+		t.Fatalf("head (%x, %d), want (%x, %d)", head, count, prev, len(applied))
+	}
+	if err := VerifyAuditChain(log, head, count); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -28,8 +28,8 @@ func FuzzBatchRequestCompat(f *testing.F) {
 			`"products":` + productsJSON,
 			fmt.Sprintf(`"quality":%d`, quality),
 		}
-		if extraKey != "" && extraKey != "schema" && extraKey != "products" &&
-			extraKey != "quality" && json.Valid([]byte(extraVal)) {
+		if extraKey != "" && !foldsToField(extraKey, "schema", "products", "quality") &&
+			json.Valid([]byte(extraVal)) {
 			keyJSON, err := json.Marshal(extraKey)
 			if err != nil {
 				return

@@ -2,19 +2,32 @@ package wire
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"desword/internal/poc"
 	"desword/internal/trace"
+	"desword/internal/zkedb"
 )
 
 // FuzzReadMessage hammers the TCP frame parser with arbitrary byte streams:
 // it must reject garbage with an error, never panic, and never allocate
-// beyond the frame cap.
+// beyond the frame cap. An accepted envelope must re-frame byte for byte:
+// what WriteEnvelope makes of it reads back as the same envelope and
+// re-frames to the same bytes, attachment included.
 func FuzzReadMessage(f *testing.F) {
 	var seed bytes.Buffer
 	if err := WriteMessage(&seed, TypeQuery, QueryRequest{TaskID: "t", Product: "p", Quality: 1}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	seed.Reset()
+	if err := WriteMessage(&seed, TypeResponse, &QueryResponse{Claim: 1, Proof: &Proof{Kind: 1, ZK: []byte{1, 0, 0, 7}}, Next: "v2"}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
@@ -22,6 +35,8 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0, 0, 0, 2, '{', '}'})
+	f.Add(frameOf(frameVersion, "", nil))
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 4), frameVersion, 40, '{', '}'))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := ReadMessage(bytes.NewReader(data))
@@ -31,10 +46,24 @@ func FuzzReadMessage(f *testing.F) {
 		if env.Type == "" {
 			t.Fatal("accepted envelope must carry a type")
 		}
-		// Accepted envelopes must re-frame.
-		var out bytes.Buffer
-		if err := WriteMessage(&out, env.Type, env.Payload); err != nil {
+		var first bytes.Buffer
+		if err := WriteEnvelope(&first, env); err != nil {
 			t.Fatalf("re-framing accepted envelope: %v", err)
+		}
+		frame := bytes.Clone(first.Bytes())
+		back, err := ReadMessage(&first)
+		if err != nil {
+			t.Fatalf("re-reading a re-framed envelope: %v", err)
+		}
+		if back.Type != env.Type || back.RequestID() != env.RequestID() || !bytes.Equal(back.attachment, env.attachment) {
+			t.Fatalf("re-framing changed the envelope: %+v → %+v", env, back)
+		}
+		var second bytes.Buffer
+		if err := WriteEnvelope(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(second.Bytes(), frame) {
+			t.Fatalf("re-framing is not byte for byte:\n%q\n%q", frame, second.Bytes())
 		}
 	})
 }
@@ -67,9 +96,7 @@ func FuzzEnvelopeHeaderCompat(f *testing.F) {
 			fields = append(fields, fmt.Sprintf(`"req_id":%q`, reqID))
 		}
 		fields = append(fields, `"payload":`+payload)
-		if extraKey != "" && extraKey != "type" && extraKey != "trace_id" &&
-			extraKey != "span_id" && extraKey != "payload" && extraKey != "spans" &&
-			extraKey != "req_id" &&
+		if extraKey != "" && !foldsToField(extraKey, "type", "trace_id", "span_id", "payload", "spans", "req_id") &&
 			json.Valid([]byte(extraVal)) {
 			keyJSON, err := json.Marshal(extraKey)
 			if err != nil {
@@ -82,17 +109,10 @@ func FuzzEnvelopeHeaderCompat(f *testing.F) {
 			return
 		}
 
-		var frame bytes.Buffer
-		if len(raw) > MaxMessageSize {
+		if len(raw) > MaxMessageSize/2 {
 			return
 		}
-		frame.WriteByte(byte(len(raw) >> 24))
-		frame.WriteByte(byte(len(raw) >> 16))
-		frame.WriteByte(byte(len(raw) >> 8))
-		frame.WriteByte(byte(len(raw)))
-		frame.WriteString(raw)
-
-		env, err := ReadMessage(&frame)
+		env, err := ReadMessage(bytes.NewReader(frameOf(frameVersion, raw, nil)))
 		if msgType == "" {
 			if err == nil {
 				t.Fatal("envelope without a type was accepted")
@@ -148,6 +168,19 @@ func FuzzEnvelopeHeaderCompat(f *testing.F) {
 	})
 }
 
+// foldsToField reports whether encoding/json would decode key into one of
+// the named fields: it matches object keys case-insensitively, under
+// Unicode case folding ("TYPE", "ſchema"), so a test's "unknown extra key"
+// must differ from every field name under strings.EqualFold.
+func foldsToField(key string, fields ...string) bool {
+	for _, f := range fields {
+		if strings.EqualFold(key, f) {
+			return true
+		}
+	}
+	return false
+}
+
 func join(fields []string) string {
 	out := ""
 	for i, f := range fields {
@@ -159,19 +192,46 @@ func join(fields []string) string {
 	return out
 }
 
-// FuzzDecodeProof hammers the base64+binary proof layer used inside query
-// responses.
+// FuzzDecodeProof feeds the proof layer of query responses raw attachment
+// bytes: decoding wraps them unchanged, and verification rejects whatever
+// is not an honest proof with ErrBadProof or ErrKindMismatch, without
+// panicking.
 func FuzzDecodeProof(f *testing.F) {
-	f.Add(1, "AQ==")
-	f.Add(2, "")
-	f.Add(0, "####")
-	f.Fuzz(func(t *testing.T, kind int, zk string) {
-		p, err := DecodeProof(&Proof{Kind: kind, ZK: zk})
+	ps, err := poc.PSGen(zkedb.TestParams())
+	if err != nil {
+		f.Fatal(err)
+	}
+	credential, dpoc, err := poc.Agg(ps, "v1", []poc.Trace{{Product: "id1", Data: []byte("d")}}, poc.AggOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, id := range []poc.ProductID{"id1", "missing"} {
+		proof, err := dpoc.Prove(context.Background(), id)
 		if err != nil {
-			return
+			f.Fatal(err)
 		}
-		if p == nil {
-			t.Fatal("nil proof with nil error")
+		data, err := proof.Encoding()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(int(proof.Kind), data)
+	}
+	f.Add(1, []byte{1})
+	f.Add(2, []byte{})
+	f.Add(0, []byte("####"))
+	f.Fuzz(func(t *testing.T, kind int, zk []byte) {
+		p, err := DecodeProof(&Proof{Kind: kind, ZK: zk})
+		if err != nil || p == nil {
+			t.Fatalf("DecodeProof = %v, %v; it only wraps bytes", p, err)
+		}
+		if data, err := p.Encoding(); err != nil || !bytes.Equal(data, zk) {
+			t.Fatalf("wrapped proof encodes as %x, %v; received %x", data, err, zk)
+		}
+		for _, id := range []poc.ProductID{"id1", "missing"} {
+			_, err := poc.Verify(context.Background(), ps, credential, id, p)
+			if err != nil && !errors.Is(err, poc.ErrBadProof) && !errors.Is(err, poc.ErrKindMismatch) {
+				t.Fatalf("verifying received bytes: %v is neither ErrBadProof nor ErrKindMismatch", err)
+			}
 		}
 	})
 }

@@ -1,12 +1,12 @@
 // Package wire defines the message framing and payload types of DE-Sword's
-// multi-party deployment: length-prefixed JSON envelopes over TCP, carrying
-// query interactions between the proxy and participants, POC-list
-// submissions, and public-parameter distribution. ZK-EDB proofs travel in
-// their compact binary encoding inside the JSON envelope.
+// multi-party deployment: length-prefixed frames over TCP, each a JSON
+// envelope plus an optional raw attachment, carrying query interactions
+// between the proxy and participants, POC-list submissions, and
+// public-parameter distribution. A ZK-EDB proof travels as its response
+// frame's attachment, in the compact binary encoding Table II measures.
 package wire
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -19,12 +19,27 @@ import (
 	"desword/internal/poc"
 	"desword/internal/reputation"
 	"desword/internal/trace"
-	"desword/internal/zkedb"
 )
 
-// MaxMessageSize bounds a single frame; anything larger is rejected before
-// allocation, so a malicious peer cannot force huge buffers.
+// MaxMessageSize bounds a single frame, header and attachment together;
+// anything larger is rejected before allocation, so a malicious peer cannot
+// force huge buffers.
 const MaxMessageSize = 16 << 20
+
+// frameVersion is the first byte of every frame after its length prefix.
+// A frame is
+//
+//	u32 length | u8 version | uvarint header length | JSON envelope | attachment
+//
+// where the length counts everything after itself. The bare-JSON frames of
+// earlier releases start with '{' instead, so neither side reads the other's
+// frames: both fail with ErrBadEnvelope. There is no fallback.
+const frameVersion byte = 2
+
+// frameChunk is the most a frame read allocates before its bytes arrive; a
+// larger frame's buffer doubles as it fills. It holds a paper-geometry proof
+// response (about 16 KB) in one allocation.
+const frameChunk = 64 << 10
 
 // Message types exchanged between nodes.
 const (
@@ -86,6 +101,11 @@ var (
 // the response so a client multiplexing requests over a pooled, reused
 // connection can detect a desynchronized peer. Old peers ignore the fields;
 // envelopes without them decode unchanged.
+//
+// The frame's raw tail after the JSON is the envelope's attachment: only a
+// response fills it, with its proof's bytes (see NewEnvelope and Decode).
+// A received attachment aliases the frame's buffer, so frame buffers are
+// never reused.
 type Envelope struct {
 	Type    string           `json:"type"`
 	ReqID   string           `json:"req_id,omitempty"`
@@ -93,6 +113,8 @@ type Envelope struct {
 	SpanID  string           `json:"span_id,omitempty"`
 	Spans   []trace.SpanData `json:"spans,omitempty"`
 	Payload json.RawMessage  `json:"payload,omitempty"`
+
+	attachment []byte
 }
 
 // TraceContext returns the envelope's trace headers when both are
@@ -137,7 +159,8 @@ func ValidRequestID(s string) bool {
 	return true
 }
 
-// NewEnvelope builds an envelope around an encoded payload.
+// NewEnvelope builds an envelope around an encoded payload. A
+// *QueryResponse's proof bytes become the envelope's attachment.
 func NewEnvelope(msgType string, payload any) (*Envelope, error) {
 	env := &Envelope{Type: msgType}
 	if payload != nil {
@@ -146,6 +169,9 @@ func NewEnvelope(msgType string, payload any) (*Envelope, error) {
 			return nil, fmt.Errorf("wire: encoding %s payload: %w", msgType, err)
 		}
 		env.Payload = data
+		if r, ok := payload.(*QueryResponse); ok && r != nil && r.Proof != nil {
+			env.attachment = r.Proof.ZK
+		}
 	}
 	return env, nil
 }
@@ -160,24 +186,31 @@ func WriteMessage(w io.Writer, msgType string, payload any) error {
 }
 
 // WriteEnvelope frames and writes one fully-formed envelope, trace headers
-// included.
+// and attachment included, in a single write.
 func WriteEnvelope(w io.Writer, env *Envelope) error {
-	frame, err := json.Marshal(env)
+	if len(env.attachment) > 0 && env.Type != TypeResponse {
+		return fmt.Errorf("%w: attachment on a %s frame", ErrBadEnvelope, env.Type)
+	}
+	header, err := json.Marshal(env)
 	if err != nil {
 		return fmt.Errorf("wire: encoding envelope: %w", err)
 	}
-	if len(frame) > MaxMessageSize {
+	var hl [binary.MaxVarintLen64]byte
+	hlLen := binary.PutUvarint(hl[:], uint64(len(header)))
+	n := 1 + hlLen + len(header) + len(env.attachment)
+	if n > MaxMessageSize {
 		return ErrFrameTooLarge
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(frame)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("wire: writing frame length: %w", err)
-	}
+	frame := make([]byte, 4, 4+n)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	frame = append(frame, frameVersion)
+	frame = append(frame, hl[:hlLen]...)
+	frame = append(frame, header...)
+	frame = append(frame, env.attachment...)
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("wire: writing frame: %w", err)
 	}
-	countFrame(writeCounters, "write", env.Type, len(frame))
+	countFrame(writeCounters, "write", env.Type, n)
 	return nil
 }
 
@@ -191,28 +224,77 @@ func ReadMessage(r io.Reader) (*Envelope, error) {
 	if n > MaxMessageSize {
 		return nil, ErrFrameTooLarge
 	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(r, frame); err != nil {
+	frame, err := readFrame(r, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("wire: reading frame: %w", err)
 	}
+	env, err := parseFrame(frame)
+	if err != nil {
+		return nil, err
+	}
+	countFrame(readCounters, "read", env.Type, int(n))
+	return env, nil
+}
+
+// readFrame reads an n-byte frame, allocating for the bytes that arrive
+// rather than the bytes the length prefix claims: the buffer starts at
+// frameChunk and doubles as it fills, so a peer that claims MaxMessageSize
+// and stalls pins one chunk, not 16 MiB.
+func readFrame(r io.Reader, n int) ([]byte, error) {
+	frame := make([]byte, min(n, frameChunk))
+	off := 0
+	for {
+		m, err := io.ReadFull(r, frame[off:])
+		off += m
+		if err != nil {
+			return nil, err
+		}
+		if off == n {
+			return frame, nil
+		}
+		grown := make([]byte, min(n, 2*len(frame)))
+		copy(grown, frame)
+		frame = grown
+	}
+}
+
+// parseFrame splits a frame into its envelope and attachment.
+func parseFrame(frame []byte) (*Envelope, error) {
+	if len(frame) == 0 || frame[0] != frameVersion {
+		return nil, fmt.Errorf("%w: not a version %d frame", ErrBadEnvelope, frameVersion)
+	}
+	hl, k := binary.Uvarint(frame[1:])
+	if k <= 0 || hl > uint64(len(frame)-1-k) {
+		return nil, fmt.Errorf("%w: header length past the end of the frame", ErrBadEnvelope)
+	}
+	end := 1 + k + int(hl)
 	var env Envelope
-	if err := json.Unmarshal(frame, &env); err != nil {
+	if err := json.Unmarshal(frame[1+k:end], &env); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadEnvelope, err)
 	}
 	if env.Type == "" {
 		return nil, fmt.Errorf("%w: missing type", ErrBadEnvelope)
 	}
-	countFrame(readCounters, "read", env.Type, int(n))
+	if attachment := frame[end:]; len(attachment) > 0 {
+		if env.Type != TypeResponse {
+			return nil, fmt.Errorf("%w: attachment on a %s frame", ErrBadEnvelope, env.Type)
+		}
+		env.attachment = attachment
+	}
 	return &env, nil
 }
 
-// Decode unmarshals the envelope payload into v.
+// Decode unmarshals the envelope payload into v. Decoding into a
+// *QueryResponse hands its proof the envelope's attachment.
 func (e *Envelope) Decode(v any) error {
 	if len(e.Payload) == 0 {
 		return fmt.Errorf("%w: empty %s payload", ErrBadEnvelope, e.Type)
 	}
 	if err := json.Unmarshal(e.Payload, v); err != nil {
 		return fmt.Errorf("wire: decoding %s payload: %w", e.Type, err)
+	}
+	if r, ok := v.(*QueryResponse); ok && r.Proof != nil {
+		r.Proof.ZK = e.attachment
 	}
 	return nil
 }
@@ -232,39 +314,35 @@ type DemandRequest struct {
 	Product poc.ProductID `json:"product"`
 }
 
-// Proof is the wire form of a poc.Proof: the kind tag plus the compact
-// binary ZK-EDB proof, base64-encoded for JSON transport.
+// Proof is the wire form of a poc.Proof: the kind tag rides in the JSON
+// envelope, and the compact binary ZK-EDB proof is the response frame's
+// attachment.
 type Proof struct {
 	Kind int    `json:"kind"`
-	ZK   string `json:"zk"`
+	ZK   []byte `json:"-"`
 }
 
-// EncodeProof converts a poc.Proof to its wire form.
+// EncodeProof converts a poc.Proof to its wire form. A proof carries its
+// encoding, so this encodes nothing for a proof Prove made.
 func EncodeProof(p *poc.Proof) (*Proof, error) {
 	if p == nil {
 		return nil, nil
 	}
-	data, err := p.ZK.MarshalBinary()
+	data, err := p.Encoding()
 	if err != nil {
 		return nil, fmt.Errorf("wire: encoding proof: %w", err)
 	}
-	return &Proof{Kind: int(p.Kind), ZK: base64.StdEncoding.EncodeToString(data)}, nil
+	return &Proof{Kind: int(p.Kind), ZK: data}, nil
 }
 
-// DecodeProof converts a wire proof back to a poc.Proof.
+// DecodeProof converts a wire proof back to a poc.Proof. It only wraps the
+// received bytes, and never fails: verification decodes them, so bytes
+// that do not decode make an invalid proof, not a failed exchange.
 func DecodeProof(p *Proof) (*poc.Proof, error) {
 	if p == nil {
 		return nil, nil
 	}
-	data, err := base64.StdEncoding.DecodeString(p.ZK)
-	if err != nil {
-		return nil, fmt.Errorf("wire: decoding proof base64: %w", err)
-	}
-	var zk zkedb.Proof
-	if err := zk.UnmarshalBinary(data); err != nil {
-		return nil, fmt.Errorf("wire: decoding proof: %w", err)
-	}
-	return &poc.Proof{Kind: poc.ProofKind(p.Kind), ZK: &zk}, nil
+	return poc.ProofFromBytes(poc.ProofKind(p.Kind), p.ZK), nil
 }
 
 // QueryResponse is a participant's wire answer to a query or demand.

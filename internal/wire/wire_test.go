@@ -3,6 +3,10 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"runtime"
 	"testing"
 
 	"desword/internal/core"
@@ -70,14 +74,191 @@ func TestReadRejectsTruncatedFrame(t *testing.T) {
 	}
 }
 
+// frameOf hand-assembles a frame: the length prefix, version, header length,
+// header and attachment, with no validation, so tests can build what
+// WriteEnvelope refuses to.
+func frameOf(version byte, header string, attachment []byte) []byte {
+	body := append([]byte{version}, binary.AppendUvarint(nil, uint64(len(header)))...)
+	body = append(append(body, header...), attachment...)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
 func TestReadRejectsMissingType(t *testing.T) {
-	var buf bytes.Buffer
-	// Hand-craft an envelope without a type.
-	frame := []byte(`{"payload":{}}`)
-	buf.Write([]byte{0, 0, 0, byte(len(frame))})
-	buf.Write(frame)
-	if _, err := ReadMessage(&buf); err == nil {
+	frame := frameOf(frameVersion, `{"payload":{}}`, nil)
+	if _, err := ReadMessage(bytes.NewReader(frame)); err == nil {
 		t.Fatal("envelope without a type must be rejected")
+	}
+}
+
+func TestReadRejectsMalformedFrames(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"empty body", []byte{0, 0, 0, 0}},
+		{"zero-length header", frameOf(frameVersion, "", nil)},
+		{"header length past the end", append(binary.BigEndian.AppendUint32(nil, 3), frameVersion, 9, '{')},
+		{"unterminated header length", append(binary.BigEndian.AppendUint32(nil, 2), frameVersion, 0x80)},
+		{"attachment on a query frame", frameOf(frameVersion, `{"type":"query","payload":{}}`, []byte{1, 2})},
+		{"unknown version", frameOf(frameVersion+1, `{"type":"ack"}`, nil)},
+	} {
+		if _, err := ReadMessage(bytes.NewReader(c.frame)); !errors.Is(err, ErrBadEnvelope) {
+			t.Errorf("%s: err = %v, want ErrBadEnvelope", c.name, err)
+		}
+	}
+}
+
+// TestFrameVersionIsolatesReleases pins the frame version change in both
+// directions: a bare-JSON frame as earlier releases wrote it is rejected
+// with ErrBadEnvelope, and such a release, which unmarshals the whole body
+// as JSON, cannot parse a current frame.
+func TestFrameVersionIsolatesReleases(t *testing.T) {
+	old := []byte(`{"type":"query","payload":{"task_id":"t","product":"p","quality":1}}`)
+	oldFrame := append(binary.BigEndian.AppendUint32(nil, uint32(len(old))), old...)
+	if _, err := ReadMessage(bytes.NewReader(oldFrame)); !errors.Is(err, ErrBadEnvelope) {
+		t.Fatalf("bare-JSON frame: err = %v, want ErrBadEnvelope", err)
+	}
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, TypeQuery, QueryRequest{TaskID: "t", Product: "p", Quality: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var env Envelope
+	if err := json.Unmarshal(buf.Bytes()[4:], &env); err == nil {
+		t.Fatalf("a bare-JSON reader parsed a current frame as %+v", env)
+	}
+}
+
+// TestReadAllocatesForBytesReceived pins that a length prefix alone cannot
+// pin memory: a frame claiming MaxMessageSize that ends at once costs less
+// than 1 MiB, while a frame of exactly MaxMessageSize still round-trips.
+func TestReadAllocatesForBytesReceived(t *testing.T) {
+	claim := binary.BigEndian.AppendUint32(nil, MaxMessageSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadMessage(bytes.NewReader(claim)); err == nil {
+		t.Fatal("a frame with no body was accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("an empty frame claiming %d bytes allocated %d", MaxMessageSize, got)
+	}
+
+	header := `{"type":"response","payload":{"claim":1,"proof":{"kind":1}}}`
+	frame := make([]byte, 4+MaxMessageSize)
+	binary.BigEndian.PutUint32(frame, MaxMessageSize)
+	frame[4], frame[5] = frameVersion, byte(len(header))
+	copy(frame[6:], header)
+	env, err := ReadMessage(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatalf("frame at the cap rejected: %v", err)
+	}
+	same := &matchWriter{want: frame}
+	if err := WriteEnvelope(same, env); err != nil {
+		t.Fatal(err)
+	}
+	if !same.ok() {
+		t.Fatal("frame at the cap did not re-frame byte for byte")
+	}
+	env.attachment = frame[4:] // one header's worth past the cap, without a copy
+	if err := WriteEnvelope(same, env); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("frame past the cap: err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// matchWriter checks what is written against want without keeping a copy.
+type matchWriter struct {
+	want     []byte
+	off      int
+	mismatch bool
+}
+
+func (w *matchWriter) Write(p []byte) (int, error) {
+	w.mismatch = w.mismatch || !bytes.HasPrefix(w.want[w.off:], p)
+	w.off += len(p)
+	return len(p), nil
+}
+
+func (w *matchWriter) ok() bool { return !w.mismatch && w.off == len(w.want) }
+
+// TestResponseFrameCarriesRawProof pins what a proof costs on the wire at
+// the paper's geometry (q=16, h=32): the response frame the participant
+// server writes is the proof's compact encoding, which Table II measures,
+// plus at most 256 bytes of header; and the proof's bytes come back
+// unchanged.
+func TestResponseFrameCarriesRawProof(t *testing.T) {
+	ps, err := poc.PSGen(zkedb.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dpoc, err := poc.Agg(ps, "v1", []poc.Trace{{Product: "id1", Data: []byte("op=make;station=0")}}, poc.AggOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := dpoc.Prove(context.Background(), "id1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, err := proof.ZK.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := EncodeResponse(&core.Response{Claim: core.ClaimProcessed, Proof: proof, Next: "v2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnvelope(TypeResponse, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.ReqID = NewRequestID()
+	var buf bytes.Buffer
+	if err := WriteEnvelope(&buf, env); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("q=16, h=32 ownership proof: %d bytes encoded, %d bytes framed", size, buf.Len())
+	if buf.Len() > size+256 {
+		t.Fatalf("response frame is %d bytes for a %d-byte proof, want at most %d", buf.Len(), size, size+256)
+	}
+	back, err := ReadMessage(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wr QueryResponse
+	if err := back.Decode(&wr); err != nil {
+		t.Fatal(err)
+	}
+	want, err := proof.Encoding()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wr.Proof == nil || !bytes.Equal(wr.Proof.ZK, want) {
+		t.Fatal("the proof's bytes did not survive the frame")
+	}
+}
+
+// TestEncodeCachedProofDoesNotEncode pins encode-once: a proof Prove made
+// carries its encoding, so putting it on the wire costs one allocation (the
+// wire proof) and no encoding.
+func TestEncodeCachedProofDoesNotEncode(t *testing.T) {
+	ps, err := poc.PSGen(zkedb.TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dpoc, err := poc.Agg(ps, "v1", []poc.Trace{{Product: "id1", Data: []byte("d")}}, poc.AggOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := dpoc.Prove(context.Background(), "id1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := EncodeProof(proof); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("EncodeProof on a cached proof: %v allocations, want 1", allocs)
 	}
 }
 
@@ -131,8 +312,14 @@ func TestProofRoundTrip(t *testing.T) {
 	if p, err := DecodeProof(nil); err != nil || p != nil {
 		t.Fatal("nil wire proof must decode to nil")
 	}
-	if _, err := DecodeProof(&Proof{Kind: 1, ZK: "!!!not-base64"}); err == nil {
-		t.Fatal("bad base64 must be rejected")
+	// Bytes that do not decode still arrive, as a proof verification
+	// rejects: a malformed proof is an invalid proof, not a failed exchange.
+	undecodable, err := DecodeProof(&Proof{Kind: int(poc.Ownership), ZK: []byte{1, 0xff, 0xff}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := poc.Verify(context.Background(), ps, credential, "id1", undecodable); !errors.Is(err, poc.ErrBadProof) {
+		t.Fatalf("undecodable proof bytes: err = %v, want ErrBadProof", err)
 	}
 }
 
