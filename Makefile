@@ -1,7 +1,7 @@
 GO ?= go
 VET := bin/desword-vet
 
-.PHONY: all check build test vet fmt race bench benchmark-smoke telemetry-smoke events-smoke store-smoke saturation-smoke lint analyzers tidy fuzz-short
+.PHONY: all check build test vet fmt race bench benchmark-smoke events-smoke store-smoke saturation-smoke lint analyzers tidy fuzz-short
 
 all: check
 
@@ -26,7 +26,7 @@ fmt:
 	fi
 
 race:
-	$(GO) test -race ./internal/obs ./internal/node ./internal/core ./internal/trace ./internal/wire ./internal/zkedb ./internal/zkedb/store ./internal/poc ./internal/telemetry ./internal/events ./internal/reputation ./internal/rsavc ./internal/qmercurial
+	$(GO) test -race ./internal/obs ./internal/node ./internal/core ./internal/trace ./internal/wire ./internal/zkedb ./internal/zkedb/store ./internal/poc ./internal/events ./internal/reputation ./internal/rsavc ./internal/qmercurial
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -37,14 +37,6 @@ bench:
 # packages it deploys must not break it unnoticed.
 benchmark-smoke:
 	cd benchmark && $(GO) test .
-
-# telemetry-smoke runs the fleet-telemetry pipeline end to end over real TCP
-# (see TestTelemetrySmoke): traced queries against a served chain, registry
-# pulls over the wire telemetry message, then asserts /debug/statusz?format=json
-# carries per-peer quantiles and SLO states and that a slow-query exemplar's
-# trace id resolves at /debug/traces/<id>.
-telemetry-smoke:
-	$(GO) test -run '^TestTelemetrySmoke$$' -count=1 -v ./internal/telemetry
 
 # events-smoke runs the query flight recorder end to end over real TCP
 # (see TestEventsSmoke): journaled queries against a served chain, then an

@@ -25,10 +25,8 @@
 // pairs.json: [{"parent": "v0", "child": "v2"}, {"parent": "v2", "child": "v5"}]
 //
 // With -admin set, an HTTP listener exposes /metrics (Prometheus text
-// format), /healthz, /debug/pprof, and a local /debug/statusz with this
-// participant's request rates, latency quantiles and SLO state. With -slo
-// set, objective breaches flip /healthz to 503 and, when -profile-dir is
-// set, capture CPU+heap profiles into a bounded on-disk ring.
+// format), /healthz (liveness), /debug/pprof, /debug/traces and
+// /debug/events.
 package main
 
 import (
@@ -49,7 +47,6 @@ import (
 	"desword/internal/obs"
 	"desword/internal/poc"
 	"desword/internal/supplychain"
-	"desword/internal/telemetry"
 	"desword/internal/trace"
 )
 
@@ -88,13 +85,11 @@ func run() error {
 		logCfg    obs.LogConfig
 		clientCfg node.ClientConfig
 		cryptoCfg core.CryptoConfig
-		telCfg    telemetry.Config
 		evCfg     events.Config
 	)
 	logCfg.RegisterFlags(flag.CommandLine)
 	clientCfg.RegisterFlags(flag.CommandLine)
 	cryptoCfg.RegisterFlags(flag.CommandLine)
-	telCfg.RegisterFlags(flag.CommandLine)
 	evCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	logger, err := logCfg.Setup(os.Stderr)
@@ -107,10 +102,10 @@ func run() error {
 	if *assemble {
 		return runAssemble(logger, *proxyAddr, *task, *pairs, *pocs, clientCfg)
 	}
-	return runServe(logger, *id, *listen, *proxyAddr, *admin, *traces, *writePOC, clientCfg, cryptoCfg, telCfg, evCfg)
+	return runServe(logger, *id, *listen, *proxyAddr, *admin, *traces, *writePOC, clientCfg, cryptoCfg, evCfg)
 }
 
-func runServe(logger *slog.Logger, id, listen, proxyAddr, admin, tracesFile, writePOC string, clientCfg node.ClientConfig, cryptoCfg core.CryptoConfig, telCfg telemetry.Config, evCfg events.Config) error {
+func runServe(logger *slog.Logger, id, listen, proxyAddr, admin, tracesFile, writePOC string, clientCfg node.ClientConfig, cryptoCfg core.CryptoConfig, evCfg events.Config) error {
 	if id == "" || tracesFile == "" {
 		return fmt.Errorf("-id and -traces are required in serve mode")
 	}
@@ -179,32 +174,9 @@ func runServe(logger *slog.Logger, id, listen, proxyAddr, admin, tracesFile, wri
 		}
 	}()
 
-	// Local telemetry: registry snapshots on a ticker, -slo scoring, and a
-	// single-peer statusz so one participant is debuggable on its own.
-	collector, engine, err := telCfg.Build(obs.Default, "participant:"+id)
-	if err != nil {
-		return err
-	}
-	collector.Start()
-	defer collector.Stop()
-	monitorOpts := []telemetry.MonitorOption{telemetry.WithPollInterval(telCfg.Interval)}
-	if engine != nil {
-		monitorOpts = append(monitorOpts, telemetry.WithObjectives(engine.Objectives()))
-	}
-	monitor := telemetry.NewMonitor(monitorOpts...)
-	monitor.AddLocal("participant:"+id, collector)
-	monitor.Start()
-	defer monitor.Stop()
-
 	if admin != "" {
-		adminOpts := []obs.AdminOption{
-			obs.WithRoute("/debug/statusz", telemetry.StatuszHandler(monitor)),
-			obs.WithRoute("/debug/events", events.Explorer(sink.Ring())),
-		}
-		if engine != nil {
-			adminOpts = append(adminOpts, obs.WithHealth(engine.Health))
-		}
-		adminSrv, err := obs.ServeAdmin(admin, obs.Default, adminOpts...)
+		adminSrv, err := obs.ServeAdmin(admin, obs.Default,
+			obs.WithRoute("/debug/events", events.Explorer(sink.Ring())))
 		if err != nil {
 			return err
 		}

@@ -12,12 +12,8 @@
 //	{"v0": "127.0.0.1:7701", "v1": "127.0.0.1:7702"}
 //
 // With -admin set, an HTTP listener exposes /metrics (Prometheus text
-// format), /healthz, /debug/pprof, and /debug/statusz — a fleet view that
-// polls every directory participant over the wire's telemetry message and
-// shows per-endpoint request rates, latency quantiles, SLO budget burn, and
-// exemplar trace links. With -slo set, objective breaches flip /healthz to
-// 503 and, when -profile-dir is set, capture CPU+heap profiles into a
-// bounded on-disk ring.
+// format), /healthz (liveness), /debug/pprof, /debug/traces and
+// /debug/events, whose entries link each sampled query to its trace.
 package main
 
 import (
@@ -37,7 +33,6 @@ import (
 	"desword/internal/obs"
 	"desword/internal/poc"
 	"desword/internal/reputation"
-	"desword/internal/telemetry"
 	"desword/internal/trace"
 	"desword/internal/zkedb"
 )
@@ -62,13 +57,11 @@ func run() error {
 		pxCfg   core.ProxyConfig
 		logCfg  obs.LogConfig
 		tcfg    node.ClientConfig
-		telCfg  telemetry.Config
 		evCfg   events.Config
 	)
 	pxCfg.RegisterFlags(flag.CommandLine)
 	logCfg.RegisterFlags(flag.CommandLine)
 	tcfg.RegisterFlags(flag.CommandLine)
-	telCfg.RegisterFlags(flag.CommandLine)
 	evCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	logger, err := logCfg.Setup(os.Stderr)
@@ -116,45 +109,9 @@ func run() error {
 		}
 	}()
 
-	// The collector snapshots the local registry on a ticker, scoring the
-	// -slo objectives and capturing profiles on breach; the monitor adds the
-	// fleet dimension, polling every directory participant over the wire's
-	// idempotent telemetry message.
-	collector, engine, err := telCfg.Build(obs.Default, "proxy")
-	if err != nil {
-		return err
-	}
-	collector.Start()
-	defer collector.Stop()
-	monitorOpts := []telemetry.MonitorOption{telemetry.WithPollInterval(telCfg.Interval)}
-	if engine != nil {
-		monitorOpts = append(monitorOpts, telemetry.WithObjectives(engine.Objectives()))
-	}
-	monitor := telemetry.NewMonitor(monitorOpts...)
-	monitor.AddLocal("proxy", collector)
-	for pid := range dir {
-		responder, err := directory.Resolve(pid)
-		if err != nil {
-			return err
-		}
-		client, ok := responder.(*node.ResponderClient)
-		if !ok {
-			continue
-		}
-		monitor.AddPeer(string(pid), client.Telemetry)
-	}
-	monitor.Start()
-	defer monitor.Stop()
-
 	if *admin != "" {
-		adminOpts := []obs.AdminOption{
-			obs.WithRoute("/debug/statusz", telemetry.StatuszHandler(monitor)),
-			obs.WithRoute("/debug/events", events.Explorer(sink.Ring())),
-		}
-		if engine != nil {
-			adminOpts = append(adminOpts, obs.WithHealth(engine.Health))
-		}
-		adminSrv, err := obs.ServeAdmin(*admin, obs.Default, adminOpts...)
+		adminSrv, err := obs.ServeAdmin(*admin, obs.Default,
+			obs.WithRoute("/debug/events", events.Explorer(sink.Ring())))
 		if err != nil {
 			return err
 		}

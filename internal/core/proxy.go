@@ -212,11 +212,7 @@ func (px *Proxy) runQuery(ctx context.Context, id poc.ProductID, quality Quality
 		trace.String("product", string(id)), trace.String("quality", quality.String()))
 	defer span.End()
 	qStart := time.Now()
-	// Sampled queries stamp their trace id on the latency observation, so
-	// the slowest path walks are one click from their traces on statusz.
-	defer func() {
-		queryLatency(quality).ObserveWithExemplar(time.Since(qStart).Seconds(), span.TraceID())
-	}()
+	defer func() { queryLatency(quality).Observe(time.Since(qStart).Seconds()) }()
 	px.counters.addQuery(quality)
 	countQuery(quality)
 	result := &Result{

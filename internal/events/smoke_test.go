@@ -2,6 +2,9 @@ package events_test
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -12,6 +15,7 @@ import (
 	"desword/internal/poc"
 	"desword/internal/reputation"
 	"desword/internal/supplychain"
+	"desword/internal/trace"
 	"desword/internal/zkedb"
 )
 
@@ -22,8 +26,10 @@ import (
 // metrics — the property that makes journals trustworthy evidence. Repeat
 // queries also cross the proxy's verified-proof memo on proofs that came
 // off the wire: the first walk misses on every hop, later ones hit, and the
-// journal's memo counts match the live ones. It lives in package events_test
-// because it imports node (which imports events).
+// journal's memo counts match the live ones. The last query is traced, and
+// the admin surface must link its /debug/events entry to a resolvable
+// /debug/traces/<id>. It lives in package events_test because it imports
+// node (which imports events).
 func TestEventsSmoke(t *testing.T) {
 	const hops = 3
 	ps, err := poc.PSGen(zkedb.TestParams())
@@ -117,9 +123,14 @@ func TestEventsSmoke(t *testing.T) {
 			t.Fatalf("query %d through the memo differs from the first:\nfirst: %+v\nnow:   %+v", i, first, result)
 		}
 	}
-	if _, err := client.QueryPath(context.Background(), poc.ProductID("evsmoke1"), core.Bad); err != nil {
+	rate := trace.Default.SampleRate()
+	trace.Default.SetSampleRate(1)
+	_, err = client.QueryPath(context.Background(), poc.ProductID("evsmoke1"), core.Bad)
+	trace.Default.SetSampleRate(rate)
+	if err != nil {
 		t.Fatal(err)
 	}
+	checkTraceLink(t, obs.AdminMux(obs.Default, obs.WithRoute("/debug/events", events.Explorer(sink.Ring()))))
 
 	// Seal the journal, then scan it offline exactly like desword-events.
 	if err := sink.Close(); err != nil {
@@ -179,5 +190,52 @@ func TestEventsSmoke(t *testing.T) {
 				t.Fatalf("hop breakdown incomplete: %+v", h)
 			}
 		}
+	}
+}
+
+// checkTraceLink requires exactly one query entry on /debug/events to carry a
+// trace_url — the one sampled query — and that URL to resolve, on the same
+// admin mux, to that query's trace with its spans.
+func checkTraceLink(t *testing.T, mux *http.ServeMux) {
+	t.Helper()
+	get := func(url string, out any) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", url, rec.Code, rec.Body)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			t.Fatalf("GET %s: decoding: %v", url, err)
+		}
+	}
+	var page struct {
+		Events []struct {
+			TraceID  string `json:"trace_id"`
+			TraceURL string `json:"trace_url"`
+		} `json:"events"`
+	}
+	get("/debug/events?kind=query", &page)
+	var traceID, traceURL string
+	for _, ev := range page.Events {
+		if ev.TraceURL == "" {
+			continue
+		}
+		if traceURL != "" {
+			t.Fatalf("two query events carry a trace_url (%s, %s); one query was sampled", traceURL, ev.TraceURL)
+		}
+		traceID, traceURL = ev.TraceID, ev.TraceURL
+	}
+	if traceURL == "" {
+		t.Fatalf("no query event among %d carries a trace_url", len(page.Events))
+	}
+	var td struct {
+		TraceID string            `json:"trace_id"`
+		Spans   int               `json:"spans"`
+		Tree    []*trace.SpanNode `json:"tree"`
+	}
+	get(traceURL, &td)
+	if td.TraceID != traceID || td.Spans == 0 || len(td.Tree) == 0 {
+		t.Fatalf("%s did not resolve to trace %s with spans: %+v", traceURL, traceID, td)
 	}
 }

@@ -23,7 +23,7 @@ type serverMetrics struct {
 var requestTypes = []string{
 	wire.TypeQuery, wire.TypeDemandOwnership, wire.TypeGetParams,
 	wire.TypeRegisterList, wire.TypeQueryPath, wire.TypeScores,
-	wire.TypeAuditLog, wire.TypeTelemetry,
+	wire.TypeAuditLog,
 }
 
 // newServerMetrics builds the handles for one server role ("proxy" or

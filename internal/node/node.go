@@ -19,10 +19,8 @@ import (
 
 	"desword/internal/core"
 	"desword/internal/events"
-	"desword/internal/obs"
 	"desword/internal/poc"
 	"desword/internal/reputation"
-	"desword/internal/telemetry"
 	"desword/internal/trace"
 	"desword/internal/wire"
 )
@@ -399,10 +397,7 @@ func (s *server) serveConn(conn net.Conn, handle func(context.Context, *wire.Env
 			s.metrics.errWrite.Inc()
 			return
 		}
-		// Traced requests attach their trace id to the latency observation,
-		// so a slow quantile on statusz links straight to its trace.
-		s.metrics.requestLatency(env.Type).ObserveWithExemplar(
-			time.Since(start).Seconds(), span.TraceID())
+		s.metrics.requestLatency(env.Type).Observe(time.Since(start).Seconds())
 		if s.markIdle(conn) {
 			return // server closing: deliver the response, then hang up
 		}
@@ -514,8 +509,6 @@ func ServeParticipant(ctx context.Context, addr string, responder core.Responder
 
 func (s *ParticipantServer) handle(ctx context.Context, env *wire.Envelope) (string, any) {
 	switch env.Type {
-	case wire.TypeTelemetry:
-		return wire.TypeTelemetrySnapshot, telemetry.TakeSnapshot(obs.Default, s.role)
 	case wire.TypeQuery:
 		var req wire.QueryRequest
 		if err := env.Decode(&req); err != nil {
@@ -597,27 +590,6 @@ func (c *ResponderClient) roundTrip(ctx context.Context, msgType string, payload
 		return nil, err
 	}
 	return wire.DecodeResponse(&resp)
-}
-
-// Telemetry fetches a snapshot of the remote participant's metrics registry.
-func (c *ResponderClient) Telemetry(ctx context.Context) (*telemetry.Snapshot, error) {
-	return fetchTelemetry(ctx, c.pool)
-}
-
-// fetchTelemetry runs the idempotent telemetry exchange over a pool.
-func fetchTelemetry(ctx context.Context, p *Pool) (*telemetry.Snapshot, error) {
-	env, err := p.Exchange(ctx, wire.TypeTelemetry, struct{}{})
-	if err != nil {
-		return nil, err
-	}
-	if env.Type != wire.TypeTelemetrySnapshot {
-		return nil, remoteError(env)
-	}
-	var snap telemetry.Snapshot
-	if err := env.Decode(&snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
 }
 
 // DirectoryResolver builds a core.Resolver from a participant→address map.
@@ -709,8 +681,6 @@ func ServeProxy(ctx context.Context, addr string, proxy *core.Proxy, opts ...Opt
 
 func (s *ProxyServer) handle(ctx context.Context, env *wire.Envelope) (string, any) {
 	switch env.Type {
-	case wire.TypeTelemetry:
-		return wire.TypeTelemetrySnapshot, telemetry.TakeSnapshot(obs.Default, s.role)
 	case wire.TypeGetParams:
 		return wire.TypeParams, s.proxy.PublicParams()
 	case wire.TypeRegisterList:
@@ -856,11 +826,6 @@ func (c *ProxyClient) QueryPathBatch(ctx context.Context, ids []poc.ProductID, q
 		return nil, fmt.Errorf("node: batch returned %d items for %d products", len(result.Items), len(ids))
 	}
 	return wire.DecodeBatchResult(&result), nil
-}
-
-// Telemetry fetches a snapshot of the remote proxy's metrics registry.
-func (c *ProxyClient) Telemetry(ctx context.Context) (*telemetry.Snapshot, error) {
-	return fetchTelemetry(ctx, c.pool)
 }
 
 // Scores fetches the public reputation table.

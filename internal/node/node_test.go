@@ -466,46 +466,46 @@ func TestConcurrentNetworkClients(t *testing.T) {
 	}
 }
 
-func TestTelemetryOverWire(t *testing.T) {
+// TestUnknownTypeGetsErrorReply pins what a peer still sending the retired
+// telemetry message gets from either server: an error reply naming the type,
+// on a connection that stays pooled and carries the next query.
+func TestUnknownTypeGetsErrorReply(t *testing.T) {
 	d := deploy(t, 3, nil)
-	if _, err := d.client.QueryPath(context.Background(), d.product, core.Good); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := d.client.Telemetry(context.Background())
-	if err != nil {
-		t.Fatalf("Telemetry over TCP: %v", err)
-	}
-	if snap.Service != "proxy" {
-		t.Fatalf("snapshot service = %q, want proxy", snap.Service)
-	}
-	if snap.Time.IsZero() || snap.Start.IsZero() || len(snap.Samples) == 0 {
-		t.Fatalf("snapshot incomplete: %+v", snap)
-	}
-	// The registry is shared process-wide, so the snapshot must include the
-	// query the test just drove.
-	found := false
-	for _, s := range snap.Samples {
-		if s.Name == "desword_queries_total" && s.Value > 0 {
-			found = true
+	ctx := context.Background()
+	check := func(server string, p *Pool, query func() error) {
+		t.Helper()
+		env, err := p.Exchange(ctx, "telemetry", struct{}{})
+		if err != nil {
+			t.Fatalf("%s: telemetry exchange: %v", server, err)
+		}
+		var er wire.ErrorResponse
+		if env.Type != wire.TypeError || env.Decode(&er) != nil {
+			t.Fatalf("%s: telemetry answered with %q, want an error reply", server, env.Type)
+		}
+		if want := "unknown message type telemetry"; er.Message != want {
+			t.Fatalf("%s: error reply %q, want %q", server, er.Message, want)
+		}
+		before := p.Stats()
+		if err := query(); err != nil {
+			t.Fatalf("%s: query after the error reply: %v", server, err)
+		}
+		if after := p.Stats(); after.Dials != before.Dials || after.Reuses != before.Reuses+1 {
+			t.Fatalf("%s: query did not reuse the pooled connection: %+v, then %+v", server, before, after)
 		}
 	}
-	if !found {
-		t.Fatal("snapshot missing desword_queries_total progress")
-	}
 
-	// Participants answer the same message through their responder client.
-	for id := range d.servers {
-		rc := NewResponderClient(d.servers[id].Addr())
-		psnap, err := rc.Telemetry(context.Background())
+	rc := NewResponderClient(d.servers["p0"].Addr())
+	defer func() {
 		if cerr := rc.Close(); cerr != nil {
 			t.Errorf("closing responder client: %v", cerr)
 		}
-		if err != nil {
-			t.Fatalf("participant telemetry: %v", err)
-		}
-		if psnap.Service != "participant" || len(psnap.Samples) == 0 {
-			t.Fatalf("participant snapshot = service %q, %d samples", psnap.Service, len(psnap.Samples))
-		}
-		break
-	}
+	}()
+	check("participant", rc.Pool(), func() error {
+		_, err := rc.Query(ctx, d.dist.TaskID, d.product, core.Good)
+		return err
+	})
+	check("proxy", d.client.pool, func() error {
+		_, err := d.client.QueryPath(ctx, d.product, core.Good)
+		return err
+	})
 }

@@ -237,8 +237,7 @@ func (p *Pool) exchangeAttempts(ctx context.Context, span *trace.Span, msgType s
 func retrySafe(msgType string, wrote bool) bool {
 	switch msgType {
 	case wire.TypeQuery, wire.TypeDemandOwnership,
-		wire.TypeGetParams, wire.TypeScores, wire.TypeAuditLog,
-		wire.TypeTelemetry:
+		wire.TypeGetParams, wire.TypeScores, wire.TypeAuditLog:
 		return true
 	}
 	return !wrote

@@ -22,32 +22,16 @@ type AdminServer struct {
 	srv *http.Server
 }
 
-// HealthReport is what a health hook returns: liveness plus an optional
-// machine-readable detail block (e.g. per-SLO states) that /healthz renders
-// as JSON under ?format=json.
-type HealthReport struct {
-	OK     bool `json:"ok"`
-	Detail any  `json:"detail,omitempty"`
-}
-
 // adminOptions collects the optional admin-surface extensions.
 type adminOptions struct {
-	health func() HealthReport
 	routes map[string]http.Handler
 }
 
 // AdminOption extends the admin route table.
 type AdminOption func(*adminOptions)
 
-// WithHealth installs a health hook: /healthz reports 503 "degraded" when the
-// hook says not-OK (an SLO breach, typically), and serves the hook's detail
-// as JSON under /healthz?format=json either way.
-func WithHealth(f func() HealthReport) AdminOption {
-	return func(o *adminOptions) { o.health = f }
-}
-
-// WithRoute mounts an extra handler on the admin mux (e.g. the telemetry
-// monitor's /debug/statusz).
+// WithRoute mounts an extra handler on the admin mux (e.g. the flight
+// recorder's /debug/events).
 func WithRoute(pattern string, h http.Handler) AdminOption {
 	return func(o *adminOptions) {
 		if o.routes == nil {
@@ -67,32 +51,15 @@ func AdminMux(reg *Registry, opts ...AdminOption) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		// WritePrometheus reads the runtime series of RegisterProcessMetrics
+		// afresh, so every scrape sees current values without a ticker.
 		if err := reg.WritePrometheus(w); err != nil {
 			// The response is already partially written; nothing to repair.
 			_ = err
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		report := HealthReport{OK: true}
-		if o.health != nil {
-			report = o.health()
-		}
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			if !report.OK {
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(report)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if !report.OK {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "degraded")
-			return
-		}
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -116,30 +116,6 @@ type Histogram struct {
 	counts []atomic.Uint64 // len(upper)+1; last is +Inf
 	sum    atomicFloat
 	count  atomic.Uint64
-
-	// Exemplar store: the few most interesting (slowest) recent observations
-	// that carried a trace id, so a latency spike on this histogram links
-	// straight to a concrete /debug/traces/<id> timeline. The store is tiny
-	// and mutex-guarded; Observe never touches it — only observations that
-	// actively carry a trace id pay the lock, and those sit on sampled (and
-	// therefore already allocation-heavy) request paths.
-	exMu      sync.Mutex
-	exemplars []Exemplar // guarded by exMu
-}
-
-// MaxExemplars bounds the exemplar store of one histogram series.
-const MaxExemplars = 4
-
-// exemplarTTL is how long an exemplar defends its slot on value alone; past
-// it, any fresh traced observation replaces it so the store follows current
-// traffic instead of pinning an ancient outlier.
-const exemplarTTL = 10 * time.Minute
-
-// Exemplar is one recorded (observation, trace) pair of a histogram series.
-type Exemplar struct {
-	Value   float64   `json:"value"`
-	TraceID string    `json:"trace_id"`
-	Time    time.Time `json:"time"`
 }
 
 // Observe records one observation.
@@ -148,50 +124,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.sum.add(v)
 	h.count.Add(1)
-}
-
-// ObserveWithExemplar records one observation and, when traceID is non-empty,
-// offers it to the series' exemplar store. With an empty traceID it is
-// exactly Observe — callers can pass span.TraceID() unconditionally, and
-// unsampled requests stay on the lock-free path.
-func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
-	h.Observe(v)
-	if traceID == "" {
-		return
-	}
-	now := time.Now()
-	h.exMu.Lock()
-	defer h.exMu.Unlock()
-	if len(h.exemplars) < MaxExemplars {
-		h.exemplars = append(h.exemplars, Exemplar{Value: v, TraceID: traceID, Time: now})
-		return
-	}
-	// Full: replace the stalest expired entry first, else the smallest value
-	// if the newcomer beats it — the store keeps the slowest recent traces.
-	victim, stalest := -1, -1
-	for i, ex := range h.exemplars {
-		if now.Sub(ex.Time) > exemplarTTL && (stalest < 0 || ex.Time.Before(h.exemplars[stalest].Time)) {
-			stalest = i
-		}
-		if victim < 0 || ex.Value < h.exemplars[victim].Value {
-			victim = i
-		}
-	}
-	switch {
-	case stalest >= 0:
-		h.exemplars[stalest] = Exemplar{Value: v, TraceID: traceID, Time: now}
-	case v >= h.exemplars[victim].Value:
-		h.exemplars[victim] = Exemplar{Value: v, TraceID: traceID, Time: now}
-	}
-}
-
-// Exemplars returns a copy of the series' exemplar store, slowest first.
-func (h *Histogram) Exemplars() []Exemplar {
-	h.exMu.Lock()
-	out := append([]Exemplar(nil), h.exemplars...)
-	h.exMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Value > out[j].Value })
-	return out
 }
 
 // ObserveSince records the seconds elapsed since start.
@@ -241,6 +173,7 @@ type series struct {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family // guarded by mu
+	runtime  *runtimeSeries     // guarded by mu; set by RegisterProcessMetrics
 }
 
 // NewRegistry returns an empty registry.
@@ -414,9 +347,12 @@ func formatFloat(v float64) string {
 }
 
 // WritePrometheus writes the registry contents in the Prometheus text
-// exposition format, families and series in sorted order.
+// exposition format, families and series in sorted order. The runtime
+// series of RegisterProcessMetrics, when registered, are refreshed before
+// rendering.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
+	rs := r.runtime
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)
@@ -427,7 +363,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		views = append(views, r.families[name].view())
 	}
 	r.mu.RUnlock()
-
+	if rs != nil {
+		rs.sample()
+	}
 	for _, v := range views {
 		if err := v.write(w); err != nil {
 			return err

@@ -14,8 +14,7 @@ type frameCounters struct {
 var knownTypes = []string{
 	TypeQuery, TypeDemandOwnership, TypeResponse, TypeGetParams, TypeParams,
 	TypeRegisterList, TypeQueryPath, TypePathResult, TypeScores,
-	TypeScoreTable, TypeAuditLog, TypeAuditChain, TypeTelemetry,
-	TypeTelemetrySnapshot, TypeAck, TypeError,
+	TypeScoreTable, TypeAuditLog, TypeAuditChain, TypeAck, TypeError,
 }
 
 var (

@@ -73,12 +73,6 @@ const (
 	TypeAuditLog = "audit_log"
 	// TypeAuditChain carries the chained score history and its head.
 	TypeAuditChain = "audit_chain"
-	// TypeTelemetry asks a peer for a telemetry snapshot of its metrics
-	// registry. A plain idempotent read: the payload is empty and answering
-	// it changes no state, so clients may retry it freely.
-	TypeTelemetry = "telemetry"
-	// TypeTelemetrySnapshot carries a telemetry.Snapshot back.
-	TypeTelemetrySnapshot = "telemetry_snapshot"
 	// TypeAck acknowledges a request with no payload.
 	TypeAck = "ack"
 	// TypeError reports a failure.

@@ -4,10 +4,10 @@
 // Paper invariant: a proxy or participant that leaks goroutines under
 // sustained query load eventually exhausts the process — and a goroutine
 // nobody can stop keeps mutating shared proof state after shutdown has
-// begun, which is exactly the window where the flight recorder and the
-// telemetry ring get corrupted. In internal/{node,telemetry,events,
-// zkedb,poc} a `go` statement must therefore carry a lifecycle signal
-// the launcher (or a test) can wait on or trigger:
+// begun, which is exactly the window where the flight recorder's ring
+// and journal get corrupted. In internal/{node,events,zkedb,poc} a `go`
+// statement must therefore carry a lifecycle signal the launcher (or a
+// test) can wait on or trigger:
 //
 //   - joinable: the body calls (*sync.WaitGroup).Done, or sends on /
 //     closes a channel — someone can observe completion;
@@ -41,7 +41,7 @@ var Analyzer = &analysis.Analyzer{
 
 // enforced matches the packages under contract (suffix-matched so the
 // analysistest fixtures model them as internal/...).
-var enforced = regexp.MustCompile(`(^|/)internal/(node|telemetry|events|zkedb|poc)(/|$)`)
+var enforced = regexp.MustCompile(`(^|/)internal/(node|events|zkedb|poc)(/|$)`)
 
 func run(pass *analysis.Pass) error {
 	if !enforced.MatchString(pass.Pkg.Path()) {

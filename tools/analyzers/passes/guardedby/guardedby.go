@@ -3,9 +3,9 @@
 // while the named sibling mutex is held on the accessing path.
 //
 // Paper invariant: shared proof state — the connection pool's health
-// window, the telemetry ring, the journal's active segment — is mutated
-// by concurrent queries; the soundness of what the proxy serves assumes
-// those structures never tear. The race detector only observes the
+// window, the flight recorder's ring, the journal's active segment — is
+// mutated by concurrent queries; the soundness of what the proxy serves
+// assumes those structures never tear. The race detector only observes the
 // schedules a test happens to produce; this pass proves the discipline
 // on the CFG. The contract is written where the field is declared:
 //

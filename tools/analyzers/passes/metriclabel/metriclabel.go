@@ -11,19 +11,11 @@
 // and a complete set of key/value pairs (the registry panics on odd label
 // lists at runtime; this catches it at vet time). Label values may be
 // dynamic — they are escaped at exposition and bounded by the caller.
-//
-// The same discipline extends to internal/telemetry's key-family display
-// list: telemetry.RegisterKeyFamily appends family names to the fleet
-// statusz view for the life of the process, so every argument must be a
-// compile-time constant matching ^[a-z_]+$ — a dynamic registration is an
-// unbounded display list and can never match a registered family anyway.
 package metriclabel
 
 import (
 	"go/ast"
-	"go/types"
 	"regexp"
-	"strings"
 
 	"desword/tools/analyzers/analysis"
 	"desword/tools/analyzers/internal/lintutil"
@@ -61,10 +53,6 @@ func run(pass *analysis.Pass) error {
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	fn := lintutil.Callee(pass.TypesInfo, call)
 	if fn == nil {
-		return
-	}
-	if fn.Name() == "RegisterKeyFamily" && isPkgPathSuffix(fn.Pkg(), "internal/telemetry") {
-		checkRegisterKeyFamily(pass, call)
 		return
 	}
 	labelStart, ok := registryMethods[fn.Name()]
@@ -109,37 +97,4 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 			pass.Reportf(labels[i].Pos(), "metric label key %q must match %s", key, nameRe)
 		}
 	}
-}
-
-// checkRegisterKeyFamily requires every telemetry.RegisterKeyFamily argument
-// to be a compile-time constant family name: the display list is append-only
-// and lives for the process, so dynamic names are unbounded growth, and a
-// name that can't pass the registry's own grammar can never match a family.
-func checkRegisterKeyFamily(pass *analysis.Pass, call *ast.CallExpr) {
-	if call.Ellipsis.IsValid() {
-		pass.Reportf(call.Args[len(call.Args)-1].Pos(),
-			"key families passed as a spread slice cannot be statically verified; spell the names out")
-		return
-	}
-	for _, arg := range call.Args {
-		name, constant := lintutil.ConstString(pass.TypesInfo, arg)
-		switch {
-		case !constant:
-			pass.Reportf(arg.Pos(),
-				"key family name must be a compile-time constant; the statusz display list is append-only for the process lifetime")
-		case !nameRe.MatchString(name):
-			pass.Reportf(arg.Pos(), "key family name %q must match %s", name, nameRe)
-		}
-	}
-}
-
-// isPkgPathSuffix matches a defining package by path suffix, so the analyzer
-// recognizes both the real package ("desword/internal/telemetry") and an
-// analysistest fixture ("internal/telemetry").
-func isPkgPathSuffix(pkg *types.Package, pathSuffix string) bool {
-	if pkg == nil {
-		return false
-	}
-	p := pkg.Path()
-	return p == pathSuffix || strings.HasSuffix(p, "/"+pathSuffix)
 }

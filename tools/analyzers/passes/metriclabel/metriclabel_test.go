@@ -8,5 +8,5 @@ import (
 )
 
 func TestMetricLabel(t *testing.T) {
-	analysistest.Run(t, "testdata", metriclabel.Analyzer, "internal/metrics", "internal/statusz")
+	analysistest.Run(t, "testdata", metriclabel.Analyzer, "internal/metrics")
 }
