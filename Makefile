@@ -96,11 +96,11 @@ tidy:
 	cd tools/analyzers && $(GO) mod tidy -diff
 	cd benchmark && $(GO) mod tidy -diff
 
-# fuzz-short exercises every wire/envelope fuzz target (the batch envelopes
-# included), the proof and node-store decoders, and the proxy's
-# verified-proof memo against fresh verification, briefly; CI runs it so
-# decoder and verifier regressions surface without waiting for a long fuzz
-# campaign.
+# fuzz-short runs every fuzz target in the main module briefly: the
+# wire/envelope decoders, the proof and node-store decoders, the proxy's
+# verified-proof memo against fresh verification, and the metrics
+# exposition's label escaping; CI runs it so decoder and verifier
+# regressions surface without waiting for a long fuzz campaign.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzProofUnmarshal$$' -fuzztime=20s ./internal/zkedb
 	$(GO) test -run='^$$' -fuzz='^FuzzVerifyMemo$$' -fuzztime=20s ./internal/poc
@@ -108,5 +108,4 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMessage$$' -fuzztime=20s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzEnvelopeHeaderCompat$$' -fuzztime=20s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeProof$$' -fuzztime=20s ./internal/wire
-	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequestCompat$$' -fuzztime=20s ./internal/wire
-	$(GO) test -run='^$$' -fuzz='^FuzzBatchResultCompat$$' -fuzztime=20s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzExpositionLabelValues$$' -fuzztime=20s ./internal/obs

@@ -54,6 +54,8 @@ func run() error {
 		keyBits = flag.Int("keybits", 128, "product-id digest bits")
 		modulus = flag.Int("modulus", 1024, "RSA modulus bits")
 		sample  = flag.Float64("trace-sample", 0, "fraction of path queries to trace in [0,1]; traces appear under /debug/traces on the admin listener")
+		workers = flag.Int("admission-workers", 0, "concurrently admitted requests at the proxy front door (0 = gate disabled)")
+		queue   = flag.Int("admission-queue", 0, "requests waiting for an admission slot (negative = none, 0 = 2x workers)")
 		pxCfg   core.ProxyConfig
 		logCfg  obs.LogConfig
 		tcfg    node.ClientConfig
@@ -126,10 +128,8 @@ func run() error {
 	pxCfg.EventSink = sink
 	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), directory.Resolver(), pxCfg)
 	srvOpts := []node.Option{node.WithTimeout(tcfg.Timeout), node.WithEventSink(sink)}
-	if pxCfg.AdmissionWorkers > 0 || pxCfg.AdmissionQueue != 0 {
-		// The same admission settings gate the TCP front door, so overload
-		// is shed before a request even reaches the proxy core.
-		srvOpts = append(srvOpts, node.WithAdmission(pxCfg.AdmissionWorkers, pxCfg.AdmissionQueue))
+	if *workers > 0 || *queue != 0 {
+		srvOpts = append(srvOpts, node.WithAdmission(*workers, *queue))
 	}
 	srv, err := node.ServeProxy(context.Background(), *listen, proxy, srvOpts...)
 	if err != nil {

@@ -9,22 +9,25 @@
 //	echo drug-1 | desword-query -proxy 127.0.0.1:7700 -batch
 //	desword-query -proxy 127.0.0.1:7700 -scores
 //
-// -batch sends one query_path_batch message for every id given as positional
-// arguments (or, with none, one id per stdin line) and reports each id's
-// outcome independently — one unreachable product never fails the rest.
+// -batch queries every id given as positional arguments (or, with none, one
+// id per stdin line), one query_path per distinct id and at most -pool-size
+// at a time, and reports each id's outcome independently — one unreachable
+// product never fails the rest.
 package main
 
 import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"sort"
 	"strings"
-	"time"
+	"sync"
 
 	"desword/internal/core"
 	"desword/internal/events"
@@ -45,7 +48,7 @@ func run() error {
 	var (
 		proxyAddr = flag.String("proxy", "127.0.0.1:7700", "proxy address")
 		product   = flag.String("product", "", "product id to query")
-		batch     = flag.Bool("batch", false, "batch mode: query every product id given as an argument (or per stdin line) in one round trip")
+		batch     = flag.Bool("batch", false, "batch mode: query every product id given as an argument (or per stdin line), -pool-size at a time")
 		quality   = flag.String("quality", "good", "quality-check outcome: good|bad")
 		scores    = flag.Bool("scores", false, "fetch the public reputation table instead")
 		audit     = flag.Bool("audit", false, "fetch and verify the tamper-evident score history")
@@ -119,24 +122,19 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		return runBatch(client, ids, q, *quality, *jsonOut)
+		return runBatch(context.Background(), os.Stdout, client, ids, q, tcfg.PoolSize, *jsonOut)
 	}
 
 	if *product == "" {
 		return fmt.Errorf("-product is required (or use -batch or -scores)")
 	}
 
-	ctx, span := trace.Default.Start(context.Background(), "query.query_path",
-		trace.String("product", *product), trace.String("quality", *quality))
-	queryStart := time.Now()
-	result, err := client.QueryPath(ctx, poc.ProductID(*product), q)
-	span.SetError(err)
-	span.End()
+	result, err := queryPath(context.Background(), client, poc.ProductID(*product), q)
 	if err != nil {
 		return err
 	}
 	if *jsonOut {
-		return printEvent(result, *product, *quality, queryStart)
+		return printEvent(result)
 	}
 	if len(result.Path) == 0 {
 		fmt.Printf("no participant admits processing %s — no verifiable origin exists\n", *product)
@@ -188,107 +186,115 @@ func batchIDs(args []string) ([]poc.ProductID, error) {
 	return ids, nil
 }
 
-// batchJSON is the -json rendering of one batch: the batch trace id plus one
-// entry per id, each carrying the query's canonical wide event or its error.
-type batchJSON struct {
-	TraceID string          `json:"trace_id,omitempty"`
-	Items   []batchItemJSON `json:"items"`
+// queryPath runs one path query under a client-side span, so a sampled
+// query continues its trace at the proxy.
+func queryPath(ctx context.Context, client *node.ProxyClient, id poc.ProductID, q core.Quality) (*core.Result, error) {
+	ctx, span := trace.Default.Start(ctx, "query.query_path",
+		trace.String("product", string(id)), trace.String("quality", q.String()))
+	result, err := client.QueryPath(ctx, id, q)
+	span.SetError(err)
+	span.End()
+	return result, err
 }
 
+// batchItemJSON is the -json rendering of one id of a batch: the query's
+// canonical wide event, or its error.
 type batchItemJSON struct {
 	Product string        `json:"product"`
 	Error   string        `json:"error,omitempty"`
-	Shed    bool          `json:"shed,omitempty"`
 	Event   *events.Event `json:"event,omitempty"`
 }
 
-// runBatch sends one query_path_batch round trip and renders the per-id
-// outcomes. The command exits zero as long as the batch itself ran —
-// per-id failures are data, reported inline.
-func runBatch(client *node.ProxyClient, ids []poc.ProductID, q core.Quality, quality string, jsonOut bool) error {
-	ctx, span := trace.Default.Start(context.Background(), "query.query_path_batch",
-		trace.Int("batch_size", len(ids)), trace.String("quality", quality))
-	result, err := client.QueryPathBatch(ctx, ids, q)
-	span.SetError(err)
-	span.End()
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		out := batchJSON{TraceID: result.TraceID, Items: make([]batchItemJSON, len(result.Items))}
-		for i, item := range result.Items {
-			j := batchItemJSON{Product: string(item.Product), Shed: item.Shed}
-			if item.Err != nil {
-				j.Error = item.Err.Error()
-			} else if item.Result != nil {
-				j.Event = item.Result.Event
-			}
-			out.Items[i] = j
+// outcome is one distinct id's answer.
+type outcome struct {
+	result *core.Result
+	err    error
+}
+
+// runBatch sends one query_path per distinct id, at most poolSize at a time
+// over the pooled client, and renders every given id's outcome in order; a
+// repeated id is walked once and shares its twin's outcome. Per-id
+// failures, load sheds included, are data, reported inline: only a failed
+// write fails the command.
+func runBatch(ctx context.Context, w io.Writer, client *node.ProxyClient, ids []poc.ProductID, q core.Quality, poolSize int, jsonOut bool) error {
+	slot := make(map[poc.ProductID]int, len(ids))
+	var distinct []poc.ProductID
+	for _, id := range ids {
+		if _, dup := slot[id]; !dup {
+			slot[id] = len(distinct)
+			distinct = append(distinct, id)
 		}
-		b, err := json.MarshalIndent(out, "", "  ")
+	}
+	outcomes := make([]outcome, len(distinct))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, max(poolSize, 1))
+	for i, id := range distinct {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			outcomes[i].result, outcomes[i].err = queryPath(ctx, client, id, q)
+		}()
+	}
+	wg.Wait()
+
+	if jsonOut {
+		items := make([]batchItemJSON, len(ids))
+		for i, id := range ids {
+			o := outcomes[slot[id]]
+			items[i].Product = string(id)
+			switch {
+			case o.err != nil:
+				items[i].Error = o.err.Error()
+			case o.result.Event == nil:
+				items[i].Error = errNoEvent.Error()
+			default:
+				items[i].Event = o.result.Event
+			}
+		}
+		b, err := json.MarshalIndent(struct {
+			Items []batchItemJSON `json:"items"`
+		}{items}, "", "  ")
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(b))
-		return nil
+		_, err = fmt.Fprintln(w, string(b))
+		return err
 	}
-	var ok, failed, shed int
-	fmt.Printf("batch of %d %s queries (trace=%s):\n", len(ids), quality, result.TraceID)
-	for _, item := range result.Items {
+	var ok, failed int
+	fmt.Fprintf(w, "batch of %d %s queries:\n", len(ids), q)
+	for _, id := range ids {
+		o := outcomes[slot[id]]
 		switch {
-		case item.Shed:
-			shed++
-			fmt.Printf("  %-12s SHED: %v\n", item.Product, item.Err)
-		case item.Err != nil:
+		case o.err != nil:
 			failed++
-			fmt.Printf("  %-12s ERROR: %v\n", item.Product, item.Err)
-		case item.Result == nil || len(item.Result.Path) == 0:
+			fmt.Fprintf(w, "  %-12s ERROR: %v\n", id, o.err)
+		case len(o.result.Path) == 0:
 			ok++
-			fmt.Printf("  %-12s no verifiable origin\n", item.Product)
+			fmt.Fprintf(w, "  %-12s no verifiable origin\n", id)
 		default:
 			ok++
-			fmt.Printf("  %-12s path=%d hops complete=%v violations=%d task=%s\n",
-				item.Product, len(item.Result.Path), item.Result.Complete,
-				len(item.Result.Violations), item.Result.TaskID)
+			fmt.Fprintf(w, "  %-12s path=%d hops complete=%v violations=%d task=%s\n",
+				id, len(o.result.Path), o.result.Complete,
+				len(o.result.Violations), o.result.TaskID)
 		}
 	}
-	fmt.Printf("  %d ok, %d failed, %d shed\n", ok, failed, shed)
-	return nil
+	_, err := fmt.Fprintf(w, "  %d ok, %d failed\n", ok, failed)
+	return err
 }
 
-// printEvent emits the query's canonical wide event as indented JSON. The
-// proxy assembles it server-side and ships it with the path result; a proxy
-// predating the flight recorder returns none, so synthesize a client-side
-// approximation from the result to keep -json machine-parseable either way.
-func printEvent(result *core.Result, product, quality string, start time.Time) error {
-	ev := result.Event
-	if ev == nil {
-		ev = events.New(events.KindQuery, start)
-		ev.Service = "query"
-		ev.DurationUS = time.Since(start).Microseconds()
-		ev.TraceID = result.TraceID
-		ev.Product = product
-		ev.Quality = quality
-		ev.TaskID = result.TaskID
-		ev.PathLen = len(result.Path)
-		ev.Complete = result.Complete
-		switch {
-		case result.TaskID == "":
-			ev.Outcome = events.OutcomeNoOrigin
-		case result.Complete:
-			ev.Outcome = events.OutcomeComplete
-		default:
-			ev.Outcome = events.OutcomeIncomplete
-		}
-		for _, v := range result.Violations {
-			ev.Violations = append(ev.Violations, events.Violation{
-				Participant: string(v.Participant),
-				Type:        v.Type.String(),
-				Detail:      v.Detail,
-			})
-		}
+// errNoEvent reports a path result without the proxy's wide event: a proxy
+// attaches one to every result it returns.
+var errNoEvent = errors.New("proxy returned a path result without its wide event")
+
+// printEvent emits the query's canonical wide event, which the proxy
+// assembles and ships with the path result, as indented JSON.
+func printEvent(result *core.Result) error {
+	if result.Event == nil {
+		return errNoEvent
 	}
-	out, err := json.MarshalIndent(ev, "", "  ")
+	out, err := json.MarshalIndent(result.Event, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -80,13 +80,13 @@ type deployment struct {
 	directory *node.Directory
 }
 
-// serve stands up a proxy with cfg over the chain, its TCP server, and a
-// client dialing it with clientOpts, then registers the chain's POC list
-// through the client.
-func (c *chain) serve(cfg core.ProxyConfig, clientOpts ...node.Option) (*deployment, error) {
+// serve stands up a proxy over the chain, its TCP server with serverOpts,
+// and a client dialing it with clientOpts, then registers the chain's POC
+// list through the client.
+func (c *chain) serve(serverOpts []node.Option, clientOpts ...node.Option) (*deployment, error) {
 	directory := node.DirectoryResolver(c.dir)
-	proxy := core.NewProxyWithConfig(c.ps, reputation.DefaultStrategy(), directory.Resolver(), cfg)
-	server, err := node.ServeProxy(context.Background(), "127.0.0.1:0", proxy)
+	proxy := core.NewProxyWithConfig(c.ps, reputation.DefaultStrategy(), directory.Resolver(), core.ProxyConfig{})
+	server, err := node.ServeProxy(context.Background(), "127.0.0.1:0", proxy, serverOpts...)
 	if err != nil {
 		return nil, errors.Join(err, directory.Close())
 	}

@@ -61,7 +61,7 @@ func runE2EChain(ps *poc.PublicParams, n, reps int) (good, bad time.Duration, pr
 		return 0, 0, 0, err
 	}
 
-	d, err := c.serve(core.ProxyConfig{})
+	d, err := c.serve(nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}

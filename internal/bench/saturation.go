@@ -102,15 +102,17 @@ func runSaturationLevel(client *node.ProxyClient, products []poc.ProductID, qps 
 	return point
 }
 
-// runSaturationRun deploys one proxy flavour over the shared chain and
+// runSaturationRun deploys one proxy over the shared chain, its server
+// behind an admission gate of workers and queue (node.WithAdmission), and
 // sweeps it across the offered-load levels.
-func runSaturationRun(c *chain, cfg core.ProxyConfig, qpsLevels []int, duration time.Duration, forced bool) (run SaturationRun, err error) {
+func runSaturationRun(c *chain, workers, queue int, qpsLevels []int, duration time.Duration, forced bool) (run SaturationRun, err error) {
 	run = SaturationRun{
-		AdmissionWorkers: cfg.AdmissionWorkers,
-		AdmissionQueue:   cfg.AdmissionQueue,
+		AdmissionWorkers: workers,
+		AdmissionQueue:   queue,
 		Forced:           forced,
 	}
-	d, err := c.serve(cfg, node.WithPoolSize(64), node.WithRetries(0))
+	d, err := c.serve([]node.Option{node.WithAdmission(workers, queue)},
+		node.WithPoolSize(64), node.WithRetries(0))
 	if err != nil {
 		return run, err
 	}
@@ -162,7 +164,7 @@ func RunSaturation(params zkedb.Params, qpsLevels []int, chainLen, products int,
 				fmt.Sprint(p.Shed), fmt.Sprint(p.Errors), fmt.Sprint(run.Walks), fmt.Sprint(run.Coalesced))
 		}
 	}
-	run, err := runSaturationRun(c, core.ProxyConfig{AdmissionWorkers: 32, AdmissionQueue: 64}, qpsLevels, duration, false)
+	run, err := runSaturationRun(c, 32, 64, qpsLevels, duration, false)
 	if err != nil {
 		return nil, fmt.Errorf("bench: saturation: %w", err)
 	}
@@ -170,8 +172,7 @@ func RunSaturation(params zkedb.Params, qpsLevels []int, chainLen, products int,
 	addRows(run)
 	// Forced overload: one worker, no waiting room — any overlap sheds.
 	maxQPS := qpsLevels[len(qpsLevels)-1]
-	forcedCfg := core.ProxyConfig{AdmissionWorkers: 1, AdmissionQueue: -1}
-	forced, err := runSaturationRun(c, forcedCfg, []int{maxQPS}, duration, true)
+	forced, err := runSaturationRun(c, 1, -1, []int{maxQPS}, duration, true)
 	if err != nil {
 		return nil, fmt.Errorf("bench: saturation forced overload: %w", err)
 	}

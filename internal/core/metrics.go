@@ -23,8 +23,6 @@ var (
 		"Queries whose walk did not reach a leaf of the POC list.")
 	mTasksRegistered = obs.Default.Counter("desword_tasks_registered_total",
 		"Accepted POC-list registrations.")
-	mBatchQueries = obs.Default.Counter("desword_batch_queries_total",
-		"Batch path queries served (each batch counts once; its per-product walks count in desword_queries_total).")
 	mViolations = buildViolationCounters()
 )
 

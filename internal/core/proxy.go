@@ -20,16 +20,13 @@ import (
 // per initial participant (§IV.D), answers product path information queries,
 // and maintains the public reputation ledger.
 //
-// Concurrent queries for the same product coalesce onto one walk, and an
-// optional admission gate sheds excess load at the front door instead of
-// queueing it into timeouts.
+// Concurrent queries for the same product coalesce onto one walk.
 type Proxy struct {
 	cfg      ProxyConfig
 	ps       *poc.PublicParams
 	strategy reputation.Strategy
 	resolve  Resolver
 	events   *events.Sink
-	gate     *Gate
 
 	mu     sync.RWMutex
 	lists  map[string]*poc.List               // task id → POC list; guarded by mu
@@ -65,10 +62,10 @@ type queueEntry struct {
 
 // NewProxyWithConfig creates a proxy from one options struct. The resolver
 // supplies reachable endpoints for participants; the strategy configures the
-// double-edged award. The zero ProxyConfig gives an ungated proxy.
+// double-edged award.
 func NewProxyWithConfig(ps *poc.PublicParams, strategy reputation.Strategy, resolve Resolver, cfg ProxyConfig) *Proxy {
 	resolved := cfg.withDefaults()
-	px := &Proxy{
+	return &Proxy{
 		cfg:      resolved,
 		ps:       ps,
 		strategy: strategy,
@@ -80,10 +77,6 @@ func NewProxyWithConfig(ps *poc.PublicParams, strategy reputation.Strategy, reso
 		ledger:   reputation.NewLedger(),
 		memo:     poc.NewVerifyMemo(ps, verifyMemoKeys),
 	}
-	if resolved.gated() {
-		px.gate = NewGate("proxy", resolved.AdmissionWorkers, resolved.AdmissionQueue)
-	}
-	return px
 }
 
 // PublicParams returns the public parameter ps that participants use to
@@ -155,47 +148,16 @@ func (px *Proxy) Tasks() []string {
 // list, detects the dishonest behaviours of §III.B, and applies the
 // double-edged reputation award to the identified path.
 //
-// QueryPath is the batch=1 case of the proxy's one query path: admission at
-// the front door, single-flight coalescing with concurrent queries for the
-// same product, then the walk. Shed queries return an error wrapping
-// ErrLoadShed; a query whose context is cancelled mid-walk returns
+// Concurrent queries for the same product and quality coalesce onto one
+// walk (flight.go). A query whose context is cancelled mid-walk returns
 // context.Canceled and settles nothing.
 func (px *Proxy) QueryPath(ctx context.Context, id poc.ProductID, quality Quality) (*Result, error) {
 	if quality != Good && quality != Bad {
 		return nil, fmt.Errorf("core: invalid quality %v", quality)
 	}
-	item := px.queryItem(ctx, id, quality)
-	return item.Result, item.Err
-}
-
-// queryItem is the shared single-product path both QueryPath and
-// QueryPathBatch drive: admission gate, coalescing, walk.
-func (px *Proxy) queryItem(ctx context.Context, id poc.ProductID, quality Quality) BatchItem {
-	item := BatchItem{Product: id}
-	release, err := px.gate.Acquire(ctx)
-	if err != nil {
-		item.Err = err
-		item.Shed = true
-		px.emitShedEvent(id, quality, err)
-		return item
-	}
-	defer release()
-	item.Result, item.Err = px.queryCoalesced(ctx, flightKey{product: id, quality: quality}, func() (*Result, error) {
+	return px.queryCoalesced(ctx, flightKey{product: id, quality: quality}, func() (*Result, error) {
 		return px.runQuery(ctx, id, quality)
 	})
-	return item
-}
-
-// emitShedEvent records a load-shed query in the flight recorder: the query
-// never ran, but overload must be visible in the same stream as the work it
-// displaced.
-func (px *Proxy) emitShedEvent(id poc.ProductID, quality Quality, err error) {
-	ev := events.New(events.KindQuery, time.Now())
-	ev.Product = string(id)
-	ev.Quality = quality.String()
-	ev.Outcome = events.OutcomeLoadShed
-	ev.Error = err.Error()
-	px.events.Emit(ev)
 }
 
 // runQuery performs one walk. It is always entered through the

@@ -50,9 +50,10 @@ const (
 type Outcome string
 
 // Outcomes. Query events use complete, incomplete and no_origin, plus error
-// for a walk whose caller cancelled it (nothing settled) and load_shed for a
-// query the admission gate rejected; node requests and campaigns use
-// ok/error.
+// for a walk whose caller cancelled it (nothing settled). Node requests and
+// campaigns use ok/error, and a node request the server's admission gate
+// rejected is load_shed: a shed query never reaches the proxy, so it leaves
+// no query event.
 const (
 	// OutcomeComplete: the walk reached a leaf of the POC list.
 	OutcomeComplete Outcome = "complete"

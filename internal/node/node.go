@@ -94,7 +94,7 @@ func WithEventSink(s *events.Sink) Option {
 func WithAdmission(workers, queue int) Option {
 	return func(o *options) {
 		if workers <= 0 {
-			workers = core.DefaultAdmissionWorkers
+			workers = DefaultAdmissionWorkers
 		}
 		o.admissionWorkers = workers
 		o.admissionQueue = queue
@@ -186,7 +186,7 @@ type server struct {
 	opts    options
 	role    string
 	metrics *serverMetrics
-	gate    *core.Gate // nil unless WithAdmission: nil admits everything
+	gate    *Gate // nil unless WithAdmission: nil admits everything
 
 	// baseCtx is the root of every request handler's context, derived from
 	// the ctx the caller handed to ServeParticipant/ServeProxy and canceled
@@ -216,7 +216,7 @@ func (s *server) start(ctx context.Context, ln net.Listener, role string, o opti
 	s.baseCtx, s.baseCancel = context.WithCancel(ctx)
 	s.metrics = newServerMetrics(role)
 	if o.admissionWorkers > 0 {
-		s.gate = core.NewGate("node_"+role, o.admissionWorkers, o.admissionQueue)
+		s.gate = NewGate("node_"+role, o.admissionWorkers, o.admissionQueue)
 	}
 	s.conns = make(map[net.Conn]*connState)
 	s.wg.Add(1)
@@ -705,20 +705,6 @@ func (s *ProxyServer) handle(ctx context.Context, env *wire.Envelope) (string, a
 			return wire.TypeError, wire.ErrorResponse{Message: err.Error()}
 		}
 		return wire.TypePathResult, wire.EncodePathResult(result)
-	case wire.TypeQueryPathBatch:
-		var req wire.QueryPathBatchRequest
-		if err := env.Decode(&req); err != nil {
-			return wire.TypeError, wire.ErrorResponse{Message: err.Error()}
-		}
-		if req.Schema > wire.BatchSchemaVersion {
-			return wire.TypeError, wire.ErrorResponse{Message: fmt.Sprintf(
-				"batch schema %d newer than supported %d", req.Schema, wire.BatchSchemaVersion)}
-		}
-		result, err := s.proxy.QueryPathBatch(ctx, req.Products, core.Quality(req.Quality))
-		if err != nil {
-			return wire.TypeError, wire.ErrorResponse{Message: err.Error()}
-		}
-		return wire.TypeBatchResult, wire.EncodeBatchResult(result)
 	case wire.TypeScores:
 		return wire.TypeScoreTable, wire.ScoreTable{Scores: s.proxy.Scores()}
 	case wire.TypeAuditLog:
@@ -800,32 +786,6 @@ func (c *ProxyClient) QueryPath(ctx context.Context, id poc.ProductID, quality c
 		return nil, err
 	}
 	return wire.DecodePathResult(&result), nil
-}
-
-// QueryPathBatch runs one path query per product id at the proxy with
-// partial-failure semantics: the call errors only when the batch as a whole
-// could not run; per-id failures and load sheds land on their BatchItem.
-// Quality applies to the whole batch.
-func (c *ProxyClient) QueryPathBatch(ctx context.Context, ids []poc.ProductID, quality core.Quality) (*core.BatchResult, error) {
-	env, err := c.pool.Exchange(ctx, wire.TypeQueryPathBatch, wire.QueryPathBatchRequest{
-		Schema:   wire.BatchSchemaVersion,
-		Products: ids,
-		Quality:  int(quality),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if env.Type != wire.TypeBatchResult {
-		return nil, remoteError(env)
-	}
-	var result wire.BatchResult
-	if err := env.Decode(&result); err != nil {
-		return nil, err
-	}
-	if len(result.Items) != len(ids) {
-		return nil, fmt.Errorf("node: batch returned %d items for %d products", len(result.Items), len(ids))
-	}
-	return wire.DecodeBatchResult(&result), nil
 }
 
 // Scores fetches the public reputation table.

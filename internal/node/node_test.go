@@ -466,31 +466,34 @@ func TestConcurrentNetworkClients(t *testing.T) {
 	}
 }
 
-// TestUnknownTypeGetsErrorReply pins what a peer still sending the retired
-// telemetry message gets from either server: an error reply naming the type,
-// on a connection that stays pooled and carries the next query.
+// TestUnknownTypeGetsErrorReply pins what a peer still sending a retired
+// message (the fleet telemetry poll, the batch path query) gets from either
+// server: an error reply naming the type, on a connection that stays pooled
+// and carries the next query.
 func TestUnknownTypeGetsErrorReply(t *testing.T) {
 	d := deploy(t, 3, nil)
 	ctx := context.Background()
 	check := func(server string, p *Pool, query func() error) {
 		t.Helper()
-		env, err := p.Exchange(ctx, "telemetry", struct{}{})
-		if err != nil {
-			t.Fatalf("%s: telemetry exchange: %v", server, err)
-		}
-		var er wire.ErrorResponse
-		if env.Type != wire.TypeError || env.Decode(&er) != nil {
-			t.Fatalf("%s: telemetry answered with %q, want an error reply", server, env.Type)
-		}
-		if want := "unknown message type telemetry"; er.Message != want {
-			t.Fatalf("%s: error reply %q, want %q", server, er.Message, want)
-		}
-		before := p.Stats()
-		if err := query(); err != nil {
-			t.Fatalf("%s: query after the error reply: %v", server, err)
-		}
-		if after := p.Stats(); after.Dials != before.Dials || after.Reuses != before.Reuses+1 {
-			t.Fatalf("%s: query did not reuse the pooled connection: %+v, then %+v", server, before, after)
+		for _, msgType := range []string{"telemetry", "query_path_batch"} {
+			env, err := p.Exchange(ctx, msgType, struct{}{})
+			if err != nil {
+				t.Fatalf("%s: %s exchange: %v", server, msgType, err)
+			}
+			var er wire.ErrorResponse
+			if env.Type != wire.TypeError || env.Decode(&er) != nil {
+				t.Fatalf("%s: %s answered with %q, want an error reply", server, msgType, env.Type)
+			}
+			if want := "unknown message type " + msgType; er.Message != want {
+				t.Fatalf("%s: error reply %q, want %q", server, er.Message, want)
+			}
+			before := p.Stats()
+			if err := query(); err != nil {
+				t.Fatalf("%s: query after the %s error reply: %v", server, msgType, err)
+			}
+			if after := p.Stats(); after.Dials != before.Dials || after.Reuses != before.Reuses+1 {
+				t.Fatalf("%s: query after %s did not reuse the pooled connection: %+v, then %+v", server, msgType, before, after)
+			}
 		}
 	}
 

@@ -9,6 +9,13 @@ type frameCounters struct {
 	bytes  *obs.Counter
 }
 
+// frameDir holds one direction's counters: a pair per known message type
+// and one pair, type="other", for every type outside the protocol.
+type frameDir struct {
+	byType map[string]frameCounters
+	other  frameCounters
+}
+
 // knownTypes enumerates every message type of the protocol, so the hot-path
 // counter lookup is a read-only map access with no lock and no allocation.
 var knownTypes = []string{
@@ -22,12 +29,15 @@ var (
 	writeCounters = buildCounters("write")
 )
 
-func buildCounters(dir string) map[string]frameCounters {
-	m := make(map[string]frameCounters, len(knownTypes))
-	for _, t := range knownTypes {
-		m[t] = newFrameCounters(dir, t)
+func buildCounters(dir string) *frameDir {
+	d := &frameDir{
+		byType: make(map[string]frameCounters, len(knownTypes)),
+		other:  newFrameCounters(dir, "other"),
 	}
-	return m
+	for _, t := range knownTypes {
+		d.byType[t] = newFrameCounters(dir, t)
+	}
+	return d
 }
 
 func newFrameCounters(dir, msgType string) frameCounters {
@@ -42,12 +52,13 @@ func newFrameCounters(dir, msgType string) frameCounters {
 }
 
 // countFrame records one framed message of n payload-frame bytes (the 4-byte
-// length prefix is added here). Unknown message types — possible only for
-// peers speaking a newer protocol — fall back to a registry lookup.
-func countFrame(dir map[string]frameCounters, dirName, msgType string, frameLen int) {
-	fc, ok := dir[msgType]
+// length prefix is added here). A type outside knownTypes counts as "other":
+// the type string comes from the peer, so a series per type would let any
+// client that reaches a port grow the registry without bound.
+func countFrame(d *frameDir, msgType string, frameLen int) {
+	fc, ok := d.byType[msgType]
 	if !ok {
-		fc = newFrameCounters(dirName, msgType)
+		fc = d.other
 	}
 	fc.frames.Inc()
 	fc.bytes.Add(uint64(frameLen) + 4)

@@ -60,11 +60,6 @@ const (
 	TypeQueryPath = "query_path"
 	// TypePathResult carries the outcome of a path query.
 	TypePathResult = "path_result"
-	// TypeQueryPathBatch asks the proxy to run one path query per product id
-	// with partial-failure semantics (application → proxy).
-	TypeQueryPathBatch = "query_path_batch"
-	// TypeBatchResult carries the per-id outcomes of a batch path query.
-	TypeBatchResult = "batch_result"
 	// TypeScores asks the proxy for the public reputation scores.
 	TypeScores = "scores"
 	// TypeScoreTable carries the public reputation scores.
@@ -204,7 +199,7 @@ func WriteEnvelope(w io.Writer, env *Envelope) error {
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("wire: writing frame: %w", err)
 	}
-	countFrame(writeCounters, "write", env.Type, n)
+	countFrame(writeCounters, env.Type, n)
 	return nil
 }
 
@@ -226,7 +221,7 @@ func ReadMessage(r io.Reader) (*Envelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	countFrame(readCounters, "read", env.Type, int(n))
+	countFrame(readCounters, env.Type, int(n))
 	return env, nil
 }
 
@@ -374,75 +369,6 @@ type RegisterListRequest struct {
 type QueryPathRequest struct {
 	Product poc.ProductID `json:"product"`
 	Quality int           `json:"quality"`
-}
-
-// BatchSchemaVersion stamps batch requests and results. A server rejects a
-// request whose schema is newer than it understands — loudly, instead of
-// silently ignoring fields it never heard of. Adding omitempty fields is
-// compatible and needs no bump.
-const BatchSchemaVersion = 1
-
-// QueryPathBatchRequest asks the proxy to run one path query per product id
-// with partial-failure semantics: each id succeeds, fails, or is shed on its
-// own. Quality applies to the whole batch.
-type QueryPathBatchRequest struct {
-	Schema   int             `json:"schema"`
-	Products []poc.ProductID `json:"products"`
-	Quality  int             `json:"quality"`
-}
-
-// BatchItemResult is the wire outcome for one product id of a batch: Result
-// on success, Error otherwise, with Shed marking admission-control rejection
-// (overload, not failure).
-type BatchItemResult struct {
-	Product poc.ProductID `json:"product"`
-	Result  *PathResult   `json:"result,omitempty"`
-	Error   string        `json:"error,omitempty"`
-	Shed    bool          `json:"shed,omitempty"`
-}
-
-// BatchResult carries a whole batch back: per-id items in request order
-// under the batch's trace id.
-type BatchResult struct {
-	Schema  int               `json:"schema"`
-	TraceID string            `json:"trace_id,omitempty"`
-	Items   []BatchItemResult `json:"items"`
-}
-
-// EncodeBatchResult converts a core.BatchResult to its wire form.
-func EncodeBatchResult(r *core.BatchResult) *BatchResult {
-	out := &BatchResult{Schema: BatchSchemaVersion, TraceID: r.TraceID,
-		Items: make([]BatchItemResult, len(r.Items))}
-	for i, item := range r.Items {
-		w := BatchItemResult{Product: item.Product, Shed: item.Shed}
-		switch {
-		case item.Err != nil:
-			w.Error = item.Err.Error()
-		case item.Result != nil:
-			w.Result = EncodePathResult(item.Result)
-		}
-		out.Items[i] = w
-	}
-	return out
-}
-
-// DecodeBatchResult converts a wire batch result back to its core form.
-// Per-item errors come back as remote error values (string messages; shed
-// items additionally carry Shed=true).
-func DecodeBatchResult(r *BatchResult) *core.BatchResult {
-	out := &core.BatchResult{TraceID: r.TraceID,
-		Items: make([]core.BatchItem, len(r.Items))}
-	for i, item := range r.Items {
-		c := core.BatchItem{Product: item.Product, Shed: item.Shed}
-		switch {
-		case item.Error != "":
-			c.Err = errors.New(item.Error)
-		case item.Result != nil:
-			c.Result = DecodePathResult(item.Result)
-		}
-		out.Items[i] = c
-	}
-	return out
 }
 
 // PathResult is the wire form of a core.Result. Event is the canonical wide

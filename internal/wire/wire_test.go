@@ -6,10 +6,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"desword/internal/core"
+	"desword/internal/obs"
 	"desword/internal/poc"
 	"desword/internal/zkedb"
 )
@@ -411,5 +415,55 @@ func TestRequestIDValidation(t *testing.T) {
 	}
 	if !ValidRequestID("0123456789abcdef") {
 		t.Error("well-formed request id rejected")
+	}
+}
+
+// frameSeries reads the desword_wire_frames_total series off the default
+// registry's exposition, keyed by label set.
+func frameSeries(t *testing.T) map[string]uint64 {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]uint64)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "desword_wire_frames_total{"); ok {
+			labels, value, _ := strings.Cut(rest, "} ")
+			n, err := strconv.ParseUint(value, 10, 64)
+			if err != nil {
+				t.Fatalf("series %q: %v", line, err)
+			}
+			out[labels] = n
+		}
+	}
+	return out
+}
+
+// TestUnknownTypesShareOneSeries pins that message types outside the
+// protocol cannot grow the metrics registry: frames of 200 distinct made-up
+// types, written and read back, count under the type="other" series of each
+// direction, and the frames family keeps its series count.
+func TestUnknownTypesShareOneSeries(t *testing.T) {
+	const junk = 200
+	before := frameSeries(t)
+	var buf bytes.Buffer
+	for i := 0; i < junk; i++ {
+		if err := WriteMessage(&buf, fmt.Sprintf("junk-%d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadMessage(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := frameSeries(t)
+	if len(after) != len(before) {
+		t.Fatalf("desword_wire_frames_total went from %d to %d series", len(before), len(after))
+	}
+	for _, dir := range []string{"read", "write"} {
+		key := fmt.Sprintf(`dir=%q,type="other"`, dir)
+		if got := after[key] - before[key]; got != junk {
+			t.Fatalf("%s frames counted %d more, want %d", key, got, junk)
+		}
 	}
 }
