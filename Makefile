@@ -25,8 +25,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# race runs the concurrency-heavy packages under the race detector, plus
+# cmd/desword-query: its -batch mode fans distinct ids out over goroutines
+# that share one pooled client.
 race:
-	$(GO) test -race ./internal/obs ./internal/node ./internal/core ./internal/trace ./internal/wire ./internal/zkedb ./internal/zkedb/store ./internal/poc ./internal/events ./internal/reputation ./internal/rsavc ./internal/qmercurial
+	$(GO) test -race ./internal/obs ./internal/node ./internal/core ./internal/trace ./internal/wire ./internal/zkedb ./internal/zkedb/store ./internal/poc ./internal/events ./internal/reputation ./internal/rsavc ./internal/qmercurial ./cmd/desword-query
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -12,8 +12,10 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sort"
 
 	"desword/internal/adversary"
+	"desword/internal/apps"
 	"desword/internal/core"
 	"desword/internal/poc"
 	"desword/internal/reputation"
@@ -75,43 +77,31 @@ func run() error {
 		return err
 	}
 
-	// Bad-product path query: the denial cannot survive ZK-EDB soundness —
-	// the culprit committed a trace for badProduct into its POC and
-	// therefore cannot produce a valid non-ownership proof.
-	result, err := proxy.QueryPath(context.Background(), badProduct, core.Bad)
+	// Bad-product path query, then the targeted sweep: the agency samples
+	// the other products of the lot (still passing quality checks, hence
+	// good-product queries) and recalls every one whose verified path passed
+	// through the source, the first hop of the bad product's verified path.
+	// The denial cannot survive ZK-EDB soundness — the culprit committed a
+	// trace for badProduct into its POC and therefore cannot produce a valid
+	// non-ownership proof.
+	market := make([]poc.ProductID, 0, len(dist.Ground.Paths))
+	for id := range dist.Ground.Paths {
+		market = append(market, id)
+	}
+	sort.Slice(market, func(i, j int) bool { return market[i] < market[j] })
+	report, err := apps.LocalizeContamination(context.Background(), proxy, badProduct, market)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("③ verified path recovered by the proxy: %v (complete=%v)\n", result.Path, result.Complete)
-	for _, violation := range result.Violations {
+	fmt.Printf("③ verified path recovered by the proxy: %v\n", report.Path)
+	for _, violation := range report.Violations {
 		fmt.Printf("   DETECTED %s by %s: %s\n", violation.Type, violation.Participant, violation.Detail)
 	}
-
-	// Localize the source: the first hop of the verified path.
-	source := result.Path[0]
-	fmt.Printf("④ contamination source localized at %s; recalling its other products\n", source)
-
-	// Targeted recall: the agency samples the other products of the lot
-	// (still passing quality checks, hence good-product queries) and recalls
-	// every one whose verified path passed through the source.
-	recalled := 0
-	for id := range dist.Ground.Paths {
-		if id == badProduct {
-			continue
-		}
-		res, err := proxy.QueryPath(context.Background(), id, core.Good)
-		if err != nil {
-			return err
-		}
-		for _, v := range res.Path {
-			if v == source {
-				fmt.Printf("   recall %s (path %v)\n", id, res.Path)
-				recalled++
-				break
-			}
-		}
+	fmt.Printf("④ contamination source localized at %s; recalling its other products\n", report.Source)
+	for _, id := range report.Affected {
+		fmt.Printf("   recall %s\n", id)
 	}
-	fmt.Printf("⑤ %d additional products recalled\n", recalled)
+	fmt.Printf("⑤ %d additional products recalled\n", len(report.Affected))
 
 	fmt.Println("⑥ responsibility-weighted reputation after the investigation:")
 	for _, v := range proxy.Ledger().Ranking() {

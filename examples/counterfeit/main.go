@@ -21,6 +21,7 @@ import (
 	"os"
 
 	"desword/internal/adversary"
+	"desword/internal/apps"
 	"desword/internal/core"
 	"desword/internal/poc"
 	"desword/internal/reputation"
@@ -96,25 +97,24 @@ func run() error {
 	// never issued. No initial participant can prove ownership, so no origin
 	// exists: counterfeit.
 	fmt.Println("① verifying a suspicious package: id NDC-FAKE-999")
-	res, err := proxy.QueryPath(context.Background(), "NDC-FAKE-999", core.Good)
+	report, err := apps.DetectCounterfeit(context.Background(), proxy, "NDC-FAKE-999")
 	if err != nil {
 		return err
 	}
-	if len(res.Path) == 0 {
-		fmt.Println("   no participant holds an ownership proof → COUNTERFEIT (no legitimate origin)")
-	} else {
-		return fmt.Errorf("counterfeit unexpectedly authenticated: %v", res.Path)
+	if report.Genuine || len(report.Path) > 0 {
+		return fmt.Errorf("counterfeit unexpectedly authenticated: %v", report.Path)
 	}
+	fmt.Printf("   %s → COUNTERFEIT\n", report.Reason)
 
 	// Scenario 2: verify a genuine package end to end.
 	fmt.Printf("② verifying a genuine package: %s\n", targetID)
-	res, err = proxy.QueryPath(context.Background(), targetID, core.Good)
+	report, err = apps.DetectCounterfeit(context.Background(), proxy, targetID)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("   authenticated path: %v (complete=%v)\n", res.Path, res.Complete)
-	for _, v := range res.Path {
-		fmt.Printf("   %-13s %q\n", v, res.Traces[v].Data)
+	fmt.Printf("   authenticated path: %v (genuine=%v)\n", report.Path, report.Genuine)
+	for _, tr := range report.History {
+		fmt.Printf("   %q\n", tr.Data)
 	}
 
 	// The farmer is never reached on the true path in this query (it is not

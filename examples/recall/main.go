@@ -16,7 +16,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
+	"desword/internal/apps"
 	"desword/internal/core"
 	"desword/internal/node"
 	"desword/internal/poc"
@@ -118,20 +120,21 @@ func run() error {
 	failurePoint := result.Path[len(result.Path)-1]
 	fmt.Printf("⑤ failure point: %s (last processor); recalling lotB products that reached it\n", failurePoint)
 
-	recalled := []poc.ProductID{}
+	var candidates []poc.ProductID
 	for id := range distB.Ground.Paths {
-		if id == defective {
-			continue
+		if id != defective {
+			candidates = append(candidates, id)
 		}
-		res, err := client.QueryPath(context.Background(), id, core.Good)
-		if err != nil {
-			return err
-		}
-		for _, v := range res.Path {
-			if v == failurePoint {
-				recalled = append(recalled, id)
-				break
-			}
+	}
+	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
+	report, err := apps.TargetedRecall(context.Background(), client, failurePoint, candidates)
+	if err != nil {
+		return err
+	}
+	recalled := make([]poc.ProductID, 0, len(report.Recalled))
+	for _, id := range candidates {
+		if _, ok := report.Recalled[id]; ok {
+			recalled = append(recalled, id)
 		}
 	}
 	fmt.Printf("   recall notice issued for %d products: %v\n", len(recalled), recalled)

@@ -92,6 +92,9 @@ type CounterfeitReport struct {
 	Genuine bool
 	// Path is the authenticated path when genuine.
 	Path []poc.ParticipantID
+	// History is the verified path information when genuine: the committed
+	// RFID-trace of each hop, in path order.
+	History []poc.Trace
 	// Reason explains a negative verdict.
 	Reason string
 	// Violations lists dishonest behaviours detected while authenticating.
@@ -117,6 +120,7 @@ func DetectCounterfeit(ctx context.Context, client QueryClient, id poc.ProductID
 	default:
 		report.Genuine = true
 		report.Path = result.Path
+		report.History = result.PathInfo()
 	}
 	return report, nil
 }

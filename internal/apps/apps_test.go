@@ -109,7 +109,7 @@ func TestDetectCounterfeit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !report.Genuine || len(report.Path) != len(fx.ground.Paths[genuine]) {
+	if !report.Genuine || len(report.Path) != len(fx.ground.Paths[genuine]) || len(report.History) != len(report.Path) {
 		t.Fatalf("genuine product misclassified: %+v", report)
 	}
 

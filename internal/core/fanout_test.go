@@ -97,13 +97,14 @@ func stripNondeterminism(r *Result) {
 
 // TestProbeFanoutPreservesSerialOutcome pins the determinism argument of the
 // concurrent child probing: at any fan-out, every query must produce exactly
-// the result — path, violation sequence, traces, completeness — and the same
-// Stats counters as the fully serial walk.
+// the result of the fully serial walk — path, violation sequence, traces,
+// completeness, and the wide event with its hop list.
 func TestProbeFanoutPreservesSerialOutcome(t *testing.T) {
 	const products = 6
 	serial, dist := omittingFixture(t, products, 1)
 	parallel, _ := omittingFixture(t, products, 8)
 
+	wrongNextHops := 0
 	for id := range dist.Ground.Paths {
 		for _, quality := range []Quality{Good, Bad} {
 			want, err := serial.QueryPath(context.Background(), id, quality)
@@ -125,14 +126,12 @@ func TestProbeFanoutPreservesSerialOutcome(t *testing.T) {
 			if len(want.Path) == 0 {
 				t.Fatalf("omitted next hops must still be recoverable via child probes: %+v", want)
 			}
+			if want.Violated(ViolationWrongNextHop) {
+				wrongNextHops++
+			}
 		}
 	}
-
-	ss, ps := serial.Stats(), parallel.Stats()
-	if !reflect.DeepEqual(ss, ps) {
-		t.Fatalf("fan-out changed the interaction accounting:\nserial:   %+v\nparallel: %+v", ss, ps)
-	}
-	if ss.Violations[ViolationWrongNextHop] == 0 {
+	if wrongNextHops == 0 {
 		t.Fatal("omitted next hops must register as wrong-next-hop violations")
 	}
 }

@@ -84,7 +84,7 @@ var mCoalesced = obs.Default.Counter("desword_coalesced_queries_total",
 
 // ShardStats is the proxy's walk and settlement snapshot.
 type ShardStats struct {
-	// Queries counts walks run (Stats good + bad queries).
+	// Queries counts walks run.
 	Queries uint64 `json:"queries"`
 	// Coalesced counts queries served by joining a concurrent walk.
 	Coalesced uint64 `json:"coalesced"`
@@ -95,10 +95,9 @@ type ShardStats struct {
 // ShardStats returns the proxy's snapshot as a one-element slice, the shape
 // the benchmark module reads.
 func (px *Proxy) ShardStats() []ShardStats {
-	stats := px.counters.snapshot()
 	_, count := px.ledger.Head()
 	return []ShardStats{{
-		Queries:      stats.GoodQueries + stats.BadQueries,
+		Queries:      px.walks.Load(),
 		Coalesced:    px.nCoalesced.Load(),
 		AuditEntries: count,
 	}}

@@ -1,11 +1,13 @@
 package core
 
-import "desword/internal/obs"
+import (
+	"desword/internal/events"
+	"desword/internal/obs"
+)
 
 // Query-phase metric handles, fetched once at package init so the query path
-// pays only atomic updates. They complement the per-proxy Stats snapshot:
-// Stats is the per-instance JSON view, these are the process-wide Prometheus
-// series the admin listener exposes.
+// pays only atomic updates. observeQuery feeds them from each query's wide
+// event, the query's one record.
 var (
 	mQueryLatencyGood = obs.Default.Histogram("desword_query_latency_seconds",
 		"Full product path query latency at the proxy by query flavour.", nil,
@@ -26,46 +28,42 @@ var (
 	mViolations = buildViolationCounters()
 )
 
-// buildViolationCounters pre-creates one counter per violation type.
-func buildViolationCounters() map[ViolationType]*obs.Counter {
+// buildViolationCounters pre-creates one counter per violation type, keyed
+// by the type's name as wide events carry it.
+func buildViolationCounters() map[string]*obs.Counter {
 	types := []ViolationType{
 		ViolationClaimProcessing, ViolationClaimNonProcessing,
 		ViolationNoValidProof, ViolationWrongNextHop, ViolationUnreachable,
 	}
-	m := make(map[ViolationType]*obs.Counter, len(types))
+	m := make(map[string]*obs.Counter, len(types))
 	for _, t := range types {
-		m[t] = obs.Default.Counter("desword_violations_total",
+		m[t.String()] = obs.Default.Counter("desword_violations_total",
 			"Dishonest behaviours detected during queries, by type.",
 			"type", t.String())
 	}
 	return m
 }
 
-// queryLatency selects the latency histogram for a query flavour.
-func queryLatency(q Quality) *obs.Histogram {
-	if q == Bad {
-		return mQueryLatencyBad
+// observeQuery feeds the query-phase series from a finished query's wide
+// event: one query and its latency by flavour, then the identified hops,
+// incompleteness and violations of a settled walk. A walk its caller
+// cancelled (outcome error) settled nothing, so it adds only the query and
+// its latency.
+func observeQuery(ev *events.Event) {
+	queries, latency := mQueriesGood, mQueryLatencyGood
+	if ev.Quality == Bad.String() {
+		queries, latency = mQueriesBad, mQueryLatencyBad
 	}
-	return mQueryLatencyGood
-}
-
-// countQuery records one query start.
-func countQuery(q Quality) {
-	if q == Bad {
-		mQueriesBad.Inc()
-	} else {
-		mQueriesGood.Inc()
+	queries.Inc()
+	latency.Observe(float64(ev.DurationUS) / 1e6)
+	if ev.Outcome == events.OutcomeError {
+		return
 	}
-}
-
-// countOutcome records a settled query's outcome: hops walked, completeness
-// and detected violations.
-func countOutcome(result *Result) {
-	mHops.Add(uint64(len(result.Path)))
-	if !result.Complete {
+	mHops.Add(uint64(ev.PathLen))
+	if !ev.Complete {
 		mIncomplete.Inc()
 	}
-	for _, v := range result.Violations {
+	for _, v := range ev.Violations {
 		if c, ok := mViolations[v.Type]; ok {
 			c.Inc()
 		}

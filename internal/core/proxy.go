@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"desword/internal/events"
+	"desword/internal/obs"
 	"desword/internal/poc"
 	"desword/internal/reputation"
 	"desword/internal/trace"
@@ -37,12 +38,12 @@ type Proxy struct {
 	fmu        sync.Mutex
 	flights    map[flightKey]*pathFlight // guarded by fmu
 	nCoalesced atomic.Uint64
+	// walks counts the walks run, for ShardStats.
+	walks atomic.Uint64
 
 	ledger *reputation.Ledger
 	// memo remembers proofs that already passed POC-Verify.
 	memo *poc.VerifyMemo
-
-	counters statsCounter
 }
 
 // verifyMemoKeys bounds the proxy's verified-proof memo. A key costs about
@@ -125,7 +126,6 @@ func (px *Proxy) RegisterList(taskID string, list *poc.List) error {
 		px.queues[initial] = append(px.queues[initial], queueEntry{taskID: taskID, credential: credentials[i]})
 	}
 	px.mu.Unlock()
-	px.counters.addTask()
 	mTasksRegistered.Inc()
 	return nil
 }
@@ -170,13 +170,10 @@ func (px *Proxy) QueryPath(ctx context.Context, id poc.ProductID, quality Qualit
 // as leader. It still emits a wide event with outcome error, so the journal
 // accounts for every query.
 func (px *Proxy) runQuery(ctx context.Context, id poc.ProductID, quality Quality) (*Result, error) {
-	ctx, span := trace.Default.Start(ctx, "proxy.query_path",
+	ctx, stage := obs.StartRootStage(ctx, "proxy.query_path",
 		trace.String("product", string(id)), trace.String("quality", quality.String()))
-	defer span.End()
-	qStart := time.Now()
-	defer func() { queryLatency(quality).Observe(time.Since(qStart).Seconds()) }()
-	px.counters.addQuery(quality)
-	countQuery(quality)
+	span := stage.Span()
+	px.walks.Add(1)
 	result := &Result{
 		Product: id,
 		Quality: quality,
@@ -185,7 +182,7 @@ func (px *Proxy) runQuery(ctx context.Context, id poc.ProductID, quality Quality
 	}
 	// The query's scope rides the context into every hop: proof-cache and
 	// pool-transport instrumentation attribute their counters to THIS query,
-	// and finishEvent copies them onto the wide event. Innermost scope wins,
+	// and queryEvent copies them onto the wide event. Innermost scope wins,
 	// so a node-server scope further out never swallows them.
 	scope := events.NewScope()
 	ctx = events.WithScope(ctx, scope)
@@ -201,24 +198,29 @@ func (px *Proxy) runQuery(ctx context.Context, id poc.ProductID, quality Quality
 		span.SetAttr(trace.String("task", entry.taskID), trace.Bool("complete", result.Complete))
 	}
 	span.SetAttr(trace.Int("hops", len(result.Path)), trace.Int("violations", len(result.Violations)))
-	if err := ctx.Err(); errors.Is(err, context.Canceled) {
-		span.SetError(err)
-		px.finishEvent(result, scope, qStart, err)
+	err := ctx.Err()
+	if !errors.Is(err, context.Canceled) {
+		err = nil
+		px.settle(result)
+	}
+	ev := queryEvent(result, scope, stage.Start(), err)
+	ev.DurationUS = stage.End(nil, err).Microseconds()
+	observeQuery(ev)
+	result.Event = ev
+	px.events.Emit(ev)
+	if err != nil {
 		return nil, err
 	}
-	px.settle(result)
-	px.finishEvent(result, scope, qStart, nil)
 	return result, nil
 }
 
-// finishEvent assembles the query's canonical wide event from everything the
-// walk accumulated and emits it into the flight recorder when a sink is
-// configured. The event is attached to the result either way, so local and
-// remote queriers (desword-query -json) see the same record the proxy kept.
-// A non-nil err marks a walk that ended without settling.
-func (px *Proxy) finishEvent(result *Result, scope *events.Scope, start time.Time, err error) {
+// queryEvent assembles the query's canonical wide event from everything the
+// walk accumulated. The event is attached to the result whether or not a sink
+// is configured, so local and remote queriers (desword-query -json) see the
+// same record the proxy kept. A non-nil err marks a walk that ended without
+// settling.
+func queryEvent(result *Result, scope *events.Scope, start time.Time, err error) *events.Event {
 	ev := events.New(events.KindQuery, start)
-	ev.DurationUS = time.Since(start).Microseconds()
 	ev.TraceID = result.TraceID
 	ev.Product = string(result.Product)
 	ev.Quality = result.Quality.String()
@@ -248,23 +250,7 @@ func (px *Proxy) finishEvent(result *Result, scope *events.Scope, start time.Tim
 	}
 	ev.RepDeltas = result.repDeltas
 	scope.Fill(ev)
-	result.Event = ev
-	px.events.Emit(ev)
-}
-
-// recordHop appends one committed query interaction to the result's hop list.
-// It is called exactly where the interaction counters are updated — at commit
-// time — so discarded speculative probes never appear (see probeChildren).
-func recordHop(result *Result, v poc.ParticipantID, o identifyOutcome) {
-	result.hops = append(result.hops, events.Hop{
-		Participant: string(v),
-		Identified:  o.identified,
-		IdentifyUS:  o.timing.identifyUS,
-		ProveUS:     o.timing.proveUS,
-		VerifyUS:    o.timing.verifyUS,
-		DemandUS:    o.timing.demandUS,
-		Violations:  len(o.violations),
-	})
+	return ev
 }
 
 // findStart probes each initial participant's POC-queue (§IV.D) and returns
@@ -288,10 +274,9 @@ func (px *Proxy) findStart(ctx context.Context, id poc.ProductID, quality Qualit
 	for _, initial := range initials {
 		for _, entry := range queues[initial] {
 			outcome := px.identify(ctx, entry.taskID, entry.credential, initial, id, quality)
-			px.counters.addInteraction(outcome.identified)
-			recordHop(result, initial, outcome)
+			result.hops = append(result.hops, outcome.hop)
 			result.Violations = append(result.Violations, outcome.violations...)
-			if outcome.identified {
+			if outcome.hop.Identified {
 				if outcome.trace != nil {
 					result.Traces[initial] = *outcome.trace
 				}
@@ -303,43 +288,37 @@ func (px *Proxy) findStart(ctx context.Context, id poc.ProductID, quality Qualit
 	return "", queueEntry{}, ""
 }
 
-// hopTiming carries the proxy-side wall-clock breakdown of one query
-// interaction, in microseconds: the whole interaction (identify), the query
-// round trip (prove — dominated by the participant's proof generation), the
-// proxy-side proof verifications (verify), and the ownership-demand round
-// trip of the bad-product case (demand).
-type hopTiming struct {
-	identifyUS, proveUS, verifyUS, demandUS int64
-}
-
 // identifyOutcome is the result of one query interaction with a participant.
+// hop is the interaction's wide-event record: whether it identified the
+// participant, its violation count and its proxy-side timings.
 type identifyOutcome struct {
-	identified bool
+	hop        events.Hop
 	trace      *poc.Trace
 	next       poc.ParticipantID
 	violations []Violation
-	timing     hopTiming
 }
 
 // identify runs one query interaction (§IV.C step 1–2) with participant v
-// under its POC for the given task. Proofs are verified through the proxy's
-// verified-proof memo.
+// under its POC for the given task, as one "hop.identify" stage whose
+// elapsed time is the hop's IdentifyUS. Proofs are verified through the
+// proxy's verified-proof memo.
+//
+// The callers commit the hop to the result, not identify: speculative child
+// probes whose outcome is discarded (see probeChildren) must leave no trace
+// on the result or its event.
 func (px *Proxy) identify(ctx context.Context, taskID string, credential poc.POC, v poc.ParticipantID, id poc.ProductID, quality Quality) (outcome identifyOutcome) {
-	hopStart := time.Now()
-	ctx, span := trace.Default.StartChild(ctx, "hop.identify",
+	ctx, stage := obs.StartStage(ctx, "hop.identify",
 		trace.String("participant", string(v)), trace.String("task", taskID))
+	var err error
 	defer func() {
-		outcome.timing.identifyUS = time.Since(hopStart).Microseconds()
-		span.SetAttr(trace.Bool("identified", outcome.identified),
+		outcome.hop.Participant = string(v)
+		outcome.hop.Violations = len(outcome.violations)
+		stage.Span().SetAttr(trace.Bool("identified", outcome.hop.Identified),
 			trace.Int("violations", len(outcome.violations)))
-		span.End()
+		outcome.hop.IdentifyUS = stage.End(nil, err).Microseconds()
 	}()
-	// Interaction counters are updated by the callers at commit time, not
-	// here: speculative child probes whose outcome is discarded (see
-	// probeChildren) must not show up in Stats.
 	responder, err := px.resolve(v)
 	if err != nil {
-		span.SetError(err)
 		return identifyOutcome{violations: []Violation{{
 			Participant: v, Type: ViolationUnreachable,
 			Detail: fmt.Sprintf("resolving endpoint: %v", err),
@@ -348,119 +327,103 @@ func (px *Proxy) identify(ctx context.Context, taskID string, credential poc.POC
 	queryStart := time.Now()
 	resp, err := responder.Query(ctx, taskID, id, quality)
 	proveUS := time.Since(queryStart).Microseconds()
-	if err != nil || resp == nil {
-		span.SetError(err)
+	switch {
+	case err != nil || resp == nil:
 		outcome = identifyOutcome{violations: []Violation{{
 			Participant: v, Type: ViolationUnreachable,
 			Detail: fmt.Sprintf("query failed: %v", err),
 		}}}
-		outcome.timing.proveUS = proveUS
-		return outcome
-	}
-
-	switch quality {
-	case Good:
+	case quality == Good:
 		outcome = identifyGood(ctx, px.memo, credential, v, id, resp)
 	default:
 		outcome = identifyBad(ctx, px.memo, taskID, credential, v, id, resp, responder)
 	}
-	outcome.timing.proveUS = proveUS
+	outcome.hop.ProveUS = proveUS
 	return outcome
+}
+
+// verifyTimed is the memoized POC-Verify, adding its time to the hop's
+// VerifyUS (the bad case can verify up to two proofs).
+func verifyTimed(ctx context.Context, memo *poc.VerifyMemo, credential poc.POC, id poc.ProductID, proof *poc.Proof, hop *events.Hop) (*poc.Trace, error) {
+	start := time.Now()
+	tr, err := memo.Verify(ctx, credential, id, proof)
+	hop.VerifyUS += time.Since(start).Microseconds()
+	return tr, err
 }
 
 // identifyGood implements the good-product interaction: only a valid
 // ownership proof identifies v (§IV.C good case).
-func identifyGood(ctx context.Context, memo *poc.VerifyMemo, credential poc.POC, v poc.ParticipantID, id poc.ProductID, resp *Response) identifyOutcome {
+func identifyGood(ctx context.Context, memo *poc.VerifyMemo, credential poc.POC, v poc.ParticipantID, id poc.ProductID, resp *Response) (o identifyOutcome) {
 	if resp.Claim != ClaimProcessed {
 		// Not identified; in the good case a participant renouncing its
 		// positive score needs no proof.
-		return identifyOutcome{}
+		return o
 	}
 	if resp.Proof == nil || resp.Proof.Kind != poc.Ownership {
-		return identifyOutcome{violations: []Violation{{
+		o.violations = []Violation{{
 			Participant: v, Type: ViolationClaimProcessing,
 			Detail: "claimed processing without an ownership proof",
-		}}}
+		}}
+		return o
 	}
-	verifyStart := time.Now()
-	tr, err := memo.Verify(ctx, credential, id, resp.Proof)
-	verifyUS := time.Since(verifyStart).Microseconds()
+	tr, err := verifyTimed(ctx, memo, credential, id, resp.Proof, &o.hop)
 	if err != nil {
-		return identifyOutcome{
-			violations: []Violation{{
-				Participant: v, Type: ViolationClaimProcessing,
-				Detail: fmt.Sprintf("ownership proof rejected: %v", err),
-			}},
-			timing: hopTiming{verifyUS: verifyUS},
-		}
+		o.violations = []Violation{{
+			Participant: v, Type: ViolationClaimProcessing,
+			Detail: fmt.Sprintf("ownership proof rejected: %v", err),
+		}}
+		return o
 	}
-	return identifyOutcome{identified: true, trace: tr, next: resp.Next,
-		timing: hopTiming{verifyUS: verifyUS}}
+	o.hop.Identified, o.trace, o.next = true, tr, resp.Next
+	return o
 }
 
 // identifyBad implements the bad-product interaction: a valid non-ownership
 // proof clears v; anything else identifies it, with an ownership demand to
 // recover the trace (§IV.C bad case).
-func identifyBad(ctx context.Context, memo *poc.VerifyMemo, taskID string, credential poc.POC, v poc.ParticipantID, id poc.ProductID, resp *Response, responder Responder) identifyOutcome {
-	var t hopTiming
-	// verify wraps the memoized POC-Verify, accumulating verification time
-	// for the hop's wide-event breakdown (the bad case can verify up to two
-	// proofs).
-	verify := func(proof *poc.Proof) (*poc.Trace, error) {
-		verifyStart := time.Now()
-		tr, err := memo.Verify(ctx, credential, id, proof)
-		t.verifyUS += time.Since(verifyStart).Microseconds()
-		return tr, err
-	}
+func identifyBad(ctx context.Context, memo *poc.VerifyMemo, taskID string, credential poc.POC, v poc.ParticipantID, id poc.ProductID, resp *Response, responder Responder) (o identifyOutcome) {
 	if resp.Claim == ClaimNotProcessed {
 		if resp.Proof != nil && resp.Proof.Kind == poc.NonOwnership {
-			if _, err := verify(resp.Proof); err == nil {
-				return identifyOutcome{timing: t} // cleared
+			if _, err := verifyTimed(ctx, memo, credential, id, resp.Proof, &o.hop); err == nil {
+				return o // cleared
 			}
 		}
 		// The non-ownership claim did not hold up: demand an ownership proof.
 		demandStart := time.Now()
 		demand, err := responder.DemandOwnership(ctx, taskID, id)
-		t.demandUS = time.Since(demandStart).Microseconds()
+		o.hop.DemandUS = time.Since(demandStart).Microseconds()
+		o.hop.Identified = true
 		if err == nil && demand != nil && demand.Proof != nil && demand.Proof.Kind == poc.Ownership {
-			if tr, verr := verify(demand.Proof); verr == nil {
-				return identifyOutcome{
-					identified: true,
-					trace:      tr,
-					next:       demand.Next,
-					violations: []Violation{{
-						Participant: v, Type: ViolationClaimNonProcessing,
-						Detail: "claimed non-processing but holds a committed trace",
-					}},
-					timing: t,
-				}
+			if tr, verr := verifyTimed(ctx, memo, credential, id, demand.Proof, &o.hop); verr == nil {
+				o.trace, o.next = tr, demand.Next
+				o.violations = []Violation{{
+					Participant: v, Type: ViolationClaimNonProcessing,
+					Detail: "claimed non-processing but holds a committed trace",
+				}}
+				return o
 			}
 		}
 		// Neither proof verified: impossible for an honest holder of a
 		// correct POC. Identify v as dishonest without a trace.
-		return identifyOutcome{
-			identified: true,
-			violations: []Violation{{
-				Participant: v, Type: ViolationNoValidProof,
-				Detail: "produced neither a valid ownership nor non-ownership proof",
-			}},
-			timing: t,
-		}
+		o.violations = []Violation{{
+			Participant: v, Type: ViolationNoValidProof,
+			Detail: "produced neither a valid ownership nor non-ownership proof",
+		}}
+		return o
 	}
 	// Claims processing in the bad case: verify the ownership proof.
+	o.hop.Identified = true
 	if resp.Proof != nil && resp.Proof.Kind == poc.Ownership {
-		if tr, err := verify(resp.Proof); err == nil {
-			return identifyOutcome{identified: true, trace: tr, next: resp.Next, timing: t}
+		if tr, err := verifyTimed(ctx, memo, credential, id, resp.Proof, &o.hop); err == nil {
+			o.trace, o.next = tr, resp.Next
+			return o
 		}
 	}
-	return identifyOutcome{
-		identified: true,
-		violations: []Violation{{
-			Participant: v, Type: ViolationNoValidProof,
-			Detail: "claimed processing with an invalid ownership proof",
-		}},
-		timing: t,
-	}
+	o.violations = []Violation{{
+		Participant: v, Type: ViolationNoValidProof,
+		Detail: "claimed processing with an invalid ownership proof",
+	}}
+	return o
 }
 
 // walk continues the query from the identified start down the POC list,
@@ -515,10 +478,9 @@ func (px *Proxy) walk(ctx context.Context, list *poc.List, taskID string, start,
 		}
 		visited[next] = true
 		outcome := px.identify(ctx, taskID, credential, next, id, quality)
-		px.counters.addInteraction(outcome.identified)
-		recordHop(result, next, outcome)
+		result.hops = append(result.hops, outcome.hop)
 		result.Violations = append(result.Violations, outcome.violations...)
-		if !outcome.identified {
+		if !outcome.hop.Identified {
 			// §III.B "wrong participant", case 1: the named next provably
 			// did not process the product.
 			result.Violations = append(result.Violations, Violation{
@@ -569,10 +531,9 @@ func (px *Proxy) probeChildren(ctx context.Context, list *poc.List, taskID strin
 
 	commit := func(c candidate, outcome identifyOutcome) (poc.ParticipantID, poc.ParticipantID, bool) {
 		visited[c.child] = true
-		px.counters.addInteraction(outcome.identified)
-		recordHop(result, c.child, outcome)
+		result.hops = append(result.hops, outcome.hop)
 		result.Violations = append(result.Violations, outcome.violations...)
-		if !outcome.identified {
+		if !outcome.hop.Identified {
 			return "", "", false
 		}
 		result.Path = append(result.Path, c.child)
@@ -623,8 +584,6 @@ func (px *Proxy) probeChildren(ctx context.Context, list *poc.List, taskID strin
 // deltas sum the events this settlement applied, never a score read off the
 // shared ledger, so a concurrent settlement is not charged to this query.
 func (px *Proxy) settle(result *Result) {
-	px.counters.addViolations(result.Violations)
-	countOutcome(result)
 	applied := px.strategy.AwardPath(px.ledger, result.Product, result.Quality, result.Path)
 	for _, v := range result.Violations {
 		applied = append(applied, px.strategy.PenalizeViolation(px.ledger, v.Participant, result.Product, result.Quality, v.Detail))

@@ -172,7 +172,7 @@ type Result struct {
 	Event *events.Event
 
 	// hops accumulates the committed query interactions in walk order;
-	// finishEvent copies them onto Event.
+	// queryEvent copies them onto Event.
 	hops []events.Hop
 	// repDeltas is filled by settle: the net score change per affected
 	// participant.

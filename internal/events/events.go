@@ -77,7 +77,7 @@ const (
 // proof generation), VerifyUS the proxy-side proof verification, and
 // DemandUS the ownership-demand round trip of the bad-product case.
 // Speculative child probes whose outcome was discarded (probe fan-out) do
-// not appear — the hop list matches the serial walk exactly, like Stats.
+// not appear — the hop list matches the serial walk exactly.
 type Hop struct {
 	Participant string `json:"participant"`
 	Identified  bool   `json:"identified"`

@@ -58,25 +58,29 @@ func TestConcurrentEmitAndQuery(t *testing.T) {
 	}
 }
 
-// TestScopeConcurrent mirrors speculative child probes incrementing one
-// query's scope from several goroutines.
+// TestScopeConcurrent mirrors speculative child probes counting into one
+// query's scope from several goroutines: the scope and the process-wide
+// series move together, by exactly the counts made.
 func TestScopeConcurrent(t *testing.T) {
 	s := NewScope()
 	ctx := WithScope(context.Background(), s)
 	if ScopeFrom(ctx) != s {
 		t.Fatal("ScopeFrom lost the scope")
 	}
+	resources := []Resource{CacheHit, CacheMiss, PoolReuse, PoolRetry}
+	before := make([]uint64, len(resources))
+	for i, r := range resources {
+		before[i] = seriesOf(r).Value()
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := ScopeFrom(ctx)
 			for i := 0; i < 100; i++ {
-				sc.CacheHit()
-				sc.CacheMiss()
-				sc.PoolReuse()
-				sc.PoolRetry()
+				for _, r := range resources {
+					Count(ctx, r)
+				}
 			}
 		}()
 	}
@@ -86,14 +90,22 @@ func TestScopeConcurrent(t *testing.T) {
 	if ev.CacheHits != 800 || ev.CacheMisses != 800 || ev.PoolReused != 800 || ev.PoolRetries != 800 {
 		t.Fatalf("scope counters = %+v, want 800 each", ev)
 	}
+	for i, r := range resources {
+		if got := seriesOf(r).Value() - before[i]; got != 800 {
+			t.Fatalf("resource %d: process-wide series moved by %d, want 800", r, got)
+		}
+	}
 }
 
+// TestScopeNilSafety pins counting outside any scope: the process-wide
+// series still move, and nothing else is touched.
 func TestScopeNilSafety(t *testing.T) {
+	before := seriesOf(PoolRetry).Value()
+	Count(context.Background(), PoolRetry)
+	if got := seriesOf(PoolRetry).Value() - before; got != 1 {
+		t.Fatalf("a count outside a scope moved the series by %d, want 1", got)
+	}
 	var s *Scope
-	s.CacheHit()
-	s.CacheMiss()
-	s.PoolReuse()
-	s.PoolRetry()
 	s.Fill(&Event{})
 	if got := ScopeFrom(context.Background()); got != nil {
 		t.Fatalf("ScopeFrom(empty ctx) = %v", got)
@@ -105,20 +117,21 @@ func TestScopeNilSafety(t *testing.T) {
 }
 
 // TestScopeMemoCounters pins the verified-proof memo's route onto the wide
-// event: concurrent hops count into one scope, Fill copies the totals, the
-// fields are additive (absent when zero, so older journals read the same),
-// and a nil scope ignores them.
+// event: concurrent hops count into one scope, Fill copies the totals, and
+// the fields are additive (absent when zero, so older journals read the
+// same).
 func TestScopeMemoCounters(t *testing.T) {
 	s := NewScope()
+	ctx := WithScope(context.Background(), s)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				s.MemoHit()
-				s.MemoMiss()
-				s.MemoHit()
+				Count(ctx, MemoHit)
+				Count(ctx, MemoMiss)
+				Count(ctx, MemoHit)
 			}
 		}()
 	}
@@ -142,7 +155,4 @@ func TestScopeMemoCounters(t *testing.T) {
 	if strings.Contains(string(empty), "verify_memo") {
 		t.Fatalf("zero memo counters must be omitted: %s", empty)
 	}
-	var none *Scope
-	none.MemoHit()
-	none.MemoMiss()
 }

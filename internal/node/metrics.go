@@ -65,14 +65,13 @@ func (m *serverMetrics) requestLatency(msgType string) *obs.Histogram {
 // process. They are deliberately unlabelled: a proxy walking a long path
 // holds one pool per participant, and per-endpoint label cardinality would
 // grow with the supply chain. Per-pool numbers are available to tests and
-// benches through Pool.Stats.
+// benches through Pool.Stats. Reuses and retries are per-request counts as
+// well, so they go through events.Count.
 type poolMetrics struct {
 	open      *obs.Gauge
 	idle      *obs.Gauge
 	dials     *obs.Counter
-	reuses    *obs.Counter
 	reaped    *obs.Counter
-	retries   *obs.Counter
 	fastFails *obs.Counter
 	waits     *obs.Counter
 }
@@ -84,12 +83,8 @@ var poolConns = &poolMetrics{
 		"Idle pooled client connections awaiting reuse."),
 	dials: obs.Default.Counter("desword_pool_dials_total",
 		"Client connections dialed."),
-	reuses: obs.Default.Counter("desword_pool_reuses_total",
-		"Client exchanges served by a pooled connection."),
 	reaped: obs.Default.Counter("desword_pool_reaped_total",
 		"Idle pooled connections reaped past the idle timeout."),
-	retries: obs.Default.Counter("desword_pool_retries_total",
-		"Client exchange retry attempts."),
 	fastFails: obs.Default.Counter("desword_pool_fastfails_total",
 		"Client exchanges rejected while an endpoint cools down."),
 	waits: obs.Default.Counter("desword_pool_waits_total",

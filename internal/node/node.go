@@ -363,13 +363,17 @@ func (s *server) serveConn(conn net.Conn, handle func(context.Context, *wire.Env
 		if cancel != nil {
 			cancel()
 		}
+		// One clock reading, before the response is written, feeds the
+		// latency histogram, the request event and the log line.
+		elapsed := time.Since(start)
+		s.metrics.requestLatency(env.Type).Observe(elapsed.Seconds())
 		if s.opts.eventSink != nil {
-			s.emitRequestEvent(env, conn, span, respType, payload, reqScope, start, shed)
+			s.emitRequestEvent(env, conn, span, respType, payload, reqScope, start, elapsed, shed)
 		}
 		if span != nil {
 			slog.InfoContext(ctx, "traced request handled",
 				"role", s.role, "type", env.Type, "resp", respType,
-				"elapsed", time.Since(start))
+				"elapsed", elapsed)
 		}
 		if err := conn.SetWriteDeadline(time.Now().Add(s.opts.timeout)); err != nil {
 			span.End()
@@ -397,7 +401,6 @@ func (s *server) serveConn(conn net.Conn, handle func(context.Context, *wire.Env
 			s.metrics.errWrite.Inc()
 			return
 		}
-		s.metrics.requestLatency(env.Type).Observe(time.Since(start).Seconds())
 		if s.markIdle(conn) {
 			return // server closing: deliver the response, then hang up
 		}
@@ -407,9 +410,9 @@ func (s *server) serveConn(conn net.Conn, handle func(context.Context, *wire.Env
 // emitRequestEvent records one handled request as a node_request wide event:
 // message type, peer, outcome, duration, and whatever resource counters the
 // handler accumulated in the request scope.
-func (s *server) emitRequestEvent(env *wire.Envelope, conn net.Conn, span *trace.Span, respType string, payload any, scope *events.Scope, start time.Time, shed bool) {
+func (s *server) emitRequestEvent(env *wire.Envelope, conn net.Conn, span *trace.Span, respType string, payload any, scope *events.Scope, start time.Time, elapsed time.Duration, shed bool) {
 	ev := events.New(events.KindNodeRequest, start)
-	ev.DurationUS = time.Since(start).Microseconds()
+	ev.DurationUS = elapsed.Microseconds()
 	ev.MsgType = env.Type
 	ev.Peer = conn.RemoteAddr().String()
 	ev.TraceID = span.TraceID()

@@ -203,9 +203,6 @@ func (p *Pool) exchangeAttempts(ctx context.Context, span *trace.Span, msgType s
 		resp, reused, wrote, err := p.attempt(ctx, req)
 		if err == nil {
 			span.SetAttr(trace.Bool("reused", reused), trace.Int("attempt", attempt+1))
-			if reused {
-				events.ScopeFrom(ctx).PoolReuse()
-			}
 			p.noteSuccess()
 			span.Adopt(resp.Spans)
 			return resp, nil
@@ -216,8 +213,7 @@ func (p *Pool) exchangeAttempts(ctx context.Context, span *trace.Span, msgType s
 			return nil, err
 		}
 		p.retries.Add(1)
-		poolConns.retries.Inc()
-		events.ScopeFrom(ctx).PoolRetry()
+		events.Count(ctx, events.PoolRetry)
 		if !sleepCtx(ctx, backoffDelay(p.o.backoff, attempt)) {
 			return nil, fmt.Errorf("node: retrying %s to %s: %w (last error: %w)", msgType, p.addr, ctx.Err(), err)
 		}
@@ -334,7 +330,7 @@ func (p *Pool) get(ctx context.Context) (net.Conn, bool, error) {
 	}
 	if conn := p.takeIdle(); conn != nil {
 		p.reuses.Add(1)
-		poolConns.reuses.Inc()
+		events.Count(ctx, events.PoolReuse)
 		return conn, true, nil
 	}
 	dialer := net.Dialer{Timeout: p.o.timeout}

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"desword/internal/core"
+	"desword/internal/events"
+	"desword/internal/obs"
 	"desword/internal/supplychain"
 	"desword/internal/wire"
 )
@@ -83,7 +85,8 @@ func TestPoolReusesConnections(t *testing.T) {
 	p := NewPool(addr, WithPoolSize(2))
 	defer p.Close()
 
-	reusesBefore := poolConns.reuses.Value()
+	reuses := obs.Default.Counter("desword_pool_reuses_total", "")
+	reusesBefore := reuses.Value()
 	for i := 0; i < 5; i++ {
 		env, err := p.Exchange(context.Background(), wire.TypeGetParams, struct{}{})
 		if err != nil {
@@ -104,7 +107,7 @@ func TestPoolReusesConnections(t *testing.T) {
 		t.Fatalf("pool must hold the connection idle: open=%d idle=%d", st.Open, st.Idle)
 	}
 	// The acceptance signal the /metrics endpoint exposes: reuse ratio > 0.
-	if got := poolConns.reuses.Value(); got <= reusesBefore {
+	if got := reuses.Value(); got <= reusesBefore {
 		t.Fatalf("desword_pool_reuses_total did not advance: %d -> %d", reusesBefore, got)
 	}
 }
@@ -175,7 +178,9 @@ func TestPoolExhaustionQueues(t *testing.T) {
 
 // TestRetryAfterServerDrain kills the server a pooled connection points at
 // and brings a fresh one up on the same address: the next exchange must
-// recover transparently by retrying on a fresh dial.
+// recover transparently by retrying on a fresh dial. The recovering query
+// runs under a wide-event scope, which must count the stale connection's
+// reuse and the retry exactly as the pool and the process-wide series do.
 func TestRetryAfterServerDrain(t *testing.T) {
 	m := core.NewMember(mustPS(t), supplychain.NewParticipant("drain-retry"))
 	if _, err := m.CommitTask("t"); err != nil {
@@ -208,11 +213,29 @@ func TestRetryAfterServerDrain(t *testing.T) {
 		}
 	})
 
-	if _, err := c.Query(context.Background(), "t", "x", core.Good); err != nil {
+	reuses := obs.Default.Counter("desword_pool_reuses_total", "")
+	retries := obs.Default.Counter("desword_pool_retries_total", "")
+	before, reuses0, retries0 := c.Pool().Stats(), reuses.Value(), retries.Value()
+	scope := events.NewScope()
+	if _, err := c.Query(events.WithScope(context.Background(), scope), "t", "x", core.Good); err != nil {
 		t.Fatalf("query after server drain must recover by retrying: %v", err)
 	}
-	if st := c.Pool().Stats(); st.Retries == 0 && st.Dials < 2 {
-		t.Fatalf("recovery must have redialed or retried: %+v", st)
+	after := c.Pool().Stats()
+	if after.Retries == 0 && after.Dials < 2 {
+		t.Fatalf("recovery must have redialed or retried: %+v", after)
+	}
+	var ev events.Event
+	scope.Fill(&ev)
+	if ev.PoolReused == 0 {
+		t.Fatalf("the stale pooled connection was not counted as reused: pool %+v -> %+v", before, after)
+	}
+	if ev.PoolReused != after.Reuses-before.Reuses || ev.PoolReused != reuses.Value()-reuses0 {
+		t.Fatalf("event pool_reused=%d, pool Reuses +%d, desword_pool_reuses_total +%d",
+			ev.PoolReused, after.Reuses-before.Reuses, reuses.Value()-reuses0)
+	}
+	if ev.PoolRetries != after.Retries-before.Retries || ev.PoolRetries != retries.Value()-retries0 {
+		t.Fatalf("event pool_retries=%d, pool Retries +%d, desword_pool_retries_total +%d",
+			ev.PoolRetries, after.Retries-before.Retries, retries.Value()-retries0)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -171,6 +172,43 @@ func TestNetworkQueryProducesDistributedTrace(t *testing.T) {
 	}
 	if !sawProve {
 		t.Fatal("no zkedb.prove span nests under a hop span: participant fragments were not grafted")
+	}
+
+	// A warm repeat is served from the participants' proof caches and the
+	// proxy's verified-proof memo: each participant's poc.prove span is
+	// tagged cache=hit and each proxy poc.verify span memo=hit, and neither
+	// has the proof work's span below it.
+	warmCtx, warmRoot := trace.Default.Start(context.Background(), "customer.query")
+	if _, err := d.client.QueryPath(warmCtx, d.product, core.Good); err != nil {
+		t.Fatalf("warm QueryPath over TCP: %v", err)
+	}
+	warmRoot.End()
+	warm, ok := trace.Default.Recorder().Get(warmRoot.TraceID())
+	if !ok {
+		t.Fatalf("warm trace %s missing from recorder", warmRoot.TraceID())
+	}
+	tagged := map[string]int{}
+	var checkWarm func(n *trace.SpanNode)
+	checkWarm = func(n *trace.SpanNode) {
+		if n.Name == "poc.prove" || n.Name == "poc.verify" {
+			for _, a := range n.Attrs {
+				if a.Key == "cache" || a.Key == "memo" {
+					tagged[n.Name+" "+a.Key+"="+a.Value]++
+				}
+			}
+			for _, c := range n.Children {
+				t.Errorf("warm %s span has a %s child", n.Name, c.Name)
+			}
+		}
+		for _, c := range n.Children {
+			checkWarm(c)
+		}
+	}
+	for _, n := range warm.Tree() {
+		checkWarm(n)
+	}
+	if want := map[string]int{"poc.prove cache=hit": hops, "poc.verify memo=hit": hops}; !reflect.DeepEqual(tagged, want) {
+		t.Fatalf("warm query's tagged proof spans = %v, want %v", tagged, want)
 	}
 
 	// The trace is retrievable from the admin endpoint's /debug/traces/<id>.

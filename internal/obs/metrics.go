@@ -131,19 +131,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// A Timer captures a start instant on behalf of packages that must stay
-// free of direct wall-clock reads — the proof packages, where
-// desword/determinism forbids time.Now so that proof generation and
-// verification remain pure functions of their inputs. The clock is touched
-// only here in obs, which is outside the enforced set.
-type Timer struct{ start time.Time }
-
-// StartTimer begins a latency measurement.
-func StartTimer() Timer { return Timer{start: time.Now()} }
-
-// ObserveTimer records the seconds elapsed since t started.
-func (h *Histogram) ObserveTimer(t Timer) { h.ObserveSince(t.start) }
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

@@ -11,24 +11,12 @@ import (
 // AggOptions.ProofCacheSize is left at zero.
 const DefaultProofCacheSize = 128
 
-// cacheCounters are the process-wide proof-cache metrics. Hits count proofs
-// served without recomputation, misses count leader computations, evictions
-// count LRU removals. They aggregate across every DPOC in the process.
-type cacheCounters struct {
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-}
-
-var cacheMetrics = sync.OnceValue(func() *cacheCounters {
-	return &cacheCounters{
-		hits: obs.Default.Counter("desword_proofcache_hits",
-			"POC proof cache hits: proofs served without recomputing the mercurial openings."),
-		misses: obs.Default.Counter("desword_proofcache_misses",
-			"POC proof cache misses: proofs computed and inserted by a single-flight leader."),
-		evictions: obs.Default.Counter("desword_proofcache_evictions",
-			"POC proof cache LRU evictions."),
-	}
+// cacheEvictions counts proof-cache LRU removals across every DPOC in the
+// process. Hits and misses are per-request counts and go through
+// events.Count.
+var cacheEvictions = sync.OnceValue(func() *obs.Counter {
+	return obs.Default.Counter("desword_proofcache_evictions",
+		"POC proof cache LRU evictions.")
 })
 
 // proofCache is a DPOC's proof cache: product id → proof. Entries never go
@@ -45,7 +33,7 @@ func newProofCache(size int) *proofCache {
 	if size == 0 {
 		size = DefaultProofCacheSize
 	}
-	return newLRU[ProductID, *Proof](size, cacheMetrics().evictions)
+	return newLRU[ProductID, *Proof](size, cacheEvictions())
 }
 
 // lru is a bounded single-flight LRU. The first caller for a key becomes the

@@ -120,7 +120,7 @@ func TestProveCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	computed := countProofs(dpoc)
-	evictions0 := cacheMetrics().evictions.Value()
+	evictions0 := cacheEvictions().Value()
 
 	for _, id := range []ProductID{"id-00", "id-01", "id-00"} {
 		if _, err := dpoc.Prove(context.Background(), id); err != nil {
@@ -130,7 +130,7 @@ func TestProveCacheEviction(t *testing.T) {
 	if got := computed.Load(); got != 3 {
 		t.Errorf("computed %d proofs, want 3 (size-1 cache thrashes)", got)
 	}
-	if got := cacheMetrics().evictions.Value() - evictions0; got != 2 {
+	if got := cacheEvictions().Value() - evictions0; got != 2 {
 		t.Errorf("eviction counter advanced by %d, want 2", got)
 	}
 	if got := dpoc.cache.Load().len(); got != 1 {

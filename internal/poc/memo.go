@@ -13,20 +13,12 @@ import (
 	"desword/internal/trace"
 )
 
-// memoMetrics are the process-wide verified-proof memo metrics, counted like
-// the proof cache's: hits are proofs accepted without re-running the
-// openings, misses are verifications run by a single-flight leader,
-// evictions are LRU removals. They aggregate across every memo in the
-// process.
-var memoMetrics = sync.OnceValue(func() *cacheCounters {
-	return &cacheCounters{
-		hits: obs.Default.Counter("desword_verifymemo_hits",
-			"Verified-proof memo hits: proofs accepted without re-running POC-Verify."),
-		misses: obs.Default.Counter("desword_verifymemo_misses",
-			"Verified-proof memo misses: proofs verified by a single-flight leader."),
-		evictions: obs.Default.Counter("desword_verifymemo_evictions",
-			"Verified-proof memo LRU evictions."),
-	}
+// memoEvictions counts verified-proof memo LRU removals across every memo in
+// the process. Hits and misses go through events.Count, like the proof
+// cache's.
+var memoEvictions = sync.OnceValue(func() *obs.Counter {
+	return obs.Default.Counter("desword_verifymemo_evictions",
+		"Verified-proof memo LRU evictions.")
 })
 
 // memoKey is SHA-256 over the length-prefixed POC commitment, product id,
@@ -50,7 +42,7 @@ type VerifyMemo struct {
 // NewVerifyMemo builds an empty memo of at most size keys (at least one) for
 // proofs verified under ps.
 func NewVerifyMemo(ps *PublicParams, size int) *VerifyMemo {
-	return &VerifyMemo{ps: ps, lru: newLRU[memoKey, []byte](max(size, 1), memoMetrics().evictions)}
+	return &VerifyMemo{ps: ps, lru: newLRU[memoKey, []byte](max(size, 1), memoEvictions())}
 }
 
 // Verify is POC-Verify (see Verify) through the memo: it returns exactly what
@@ -58,12 +50,20 @@ func NewVerifyMemo(ps *PublicParams, size int) *VerifyMemo {
 // proof, an unknown or relabelled kind) is rejected before the memo is
 // consulted, and a proof assembled around a ZK the encoding cannot carry
 // bypasses it. Concurrent calls for one key verify once; the followers of a
-// leader whose proof was rejected verify their own. A hit records a
-// zero-work "zkedb.verify" span tagged memo=hit, so hop timelines keep one
-// span name.
+// leader whose proof was rejected verify their own. Each call is one
+// "poc.verify" stage, tagged memo=hit or memo=miss when the memo was
+// consulted; the "zkedb.verify" span nests below it only when verification
+// ran.
 func (m *VerifyMemo) Verify(ctx context.Context, credential POC, id ProductID, proof *Proof) (*Trace, error) {
-	inner, err := checkKind(proof)
-	if err != nil {
+	ctx, st := obs.StartStage(ctx, "poc.verify")
+	tr, err := m.verify(ctx, st.Span(), credential, id, proof)
+	st.End(nil, err)
+	return tr, err
+}
+
+// verify is Verify's body; span is its stage's span.
+func (m *VerifyMemo) verify(ctx context.Context, span *trace.Span, credential POC, id ProductID, proof *Proof) (*Trace, error) {
+	if _, err := checkKind(proof); err != nil {
 		return nil, err
 	}
 	data, err := proof.Encoding()
@@ -74,8 +74,8 @@ func (m *VerifyMemo) Verify(ctx context.Context, credential POC, id ProductID, p
 	for {
 		ent, leader := m.lru.getOrLead(key)
 		if leader {
-			memoMetrics().misses.Inc()
-			events.ScopeFrom(ctx).MemoMiss()
+			events.Count(ctx, events.MemoMiss)
+			span.SetAttr(trace.String("memo", "miss"))
 			tr, err := verifyProof(ctx, m.ps, credential, id, proof)
 			var value []byte
 			if tr != nil {
@@ -90,13 +90,8 @@ func (m *VerifyMemo) Verify(ctx context.Context, credential POC, id ProductID, p
 		if ent.err != nil {
 			continue // the failed entry is gone: verify as the next leader
 		}
-		memoMetrics().hits.Inc()
-		events.ScopeFrom(ctx).MemoHit()
-		params := m.ps.CRS.Params
-		_, span := trace.Default.StartChild(ctx, "zkedb.verify",
-			trace.Int("q", params.Q), trace.Int("h", params.H),
-			trace.String("kind", inner.String()), trace.String("memo", "hit"))
-		span.End()
+		events.Count(ctx, events.MemoHit)
+		span.SetAttr(trace.String("memo", "hit"))
 		if proof.Kind == Ownership {
 			return &Trace{Product: id, Data: bytes.Clone(ent.val)}, nil
 		}

@@ -9,9 +9,12 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"desword/internal/obs"
 	"desword/internal/supplychain"
 	"desword/internal/trace"
 )
@@ -83,9 +86,11 @@ func cloneProof(t testing.TB, p *Proof) *Proof {
 	return &Proof{Kind: p.Kind, ZK: zk}
 }
 
-// memoCounts reads the process-wide memo counters; tests compare deltas.
+// memoCounts reads the process-wide memo counters by their exported names;
+// tests compare deltas.
 func memoCounts() (hits, misses uint64) {
-	return memoMetrics().hits.Value(), memoMetrics().misses.Value()
+	return obs.Default.Counter("desword_verifymemo_hits", "").Value(),
+		obs.Default.Counter("desword_verifymemo_misses", "").Value()
 }
 
 // sameVerdict fails unless the memo's answer is exactly Verify's.
@@ -128,9 +133,10 @@ func TestVerifyMemoHitReturnsVerdict(t *testing.T) {
 	}
 }
 
-// TestVerifyMemoHitSpan pins the trace view of a hit: the repeat still
-// records a "zkedb.verify" span, tagged memo=hit, so hop timelines keep one
-// span name whether or not the proof was verified.
+// TestVerifyMemoHitSpan pins the trace view of the memo: every call is one
+// "poc.verify" span, the miss tagged memo=miss with the "zkedb.verify" span
+// of the verification it ran below it, the hit tagged memo=hit with nothing
+// below it.
 func TestVerifyMemoHitSpan(t *testing.T) {
 	fx := newMemoFixture(t)
 	memo := NewVerifyMemo(fx.ps, 4)
@@ -147,20 +153,26 @@ func TestVerifyMemoHitSpan(t *testing.T) {
 	if !ok {
 		t.Fatal("trace missing from the recorder")
 	}
-	var verifies, hits int
-	for _, sp := range td.Spans {
-		if sp.Name != "zkedb.verify" {
-			continue
+	var tags []string
+	for _, n := range td.Tree()[0].Children {
+		if n.Name != "poc.verify" {
+			t.Fatalf("unexpected span %q below the root", n.Name)
 		}
-		verifies++
-		for _, a := range sp.Attrs {
-			if a.Key == "memo" && a.Value == "hit" {
-				hits++
+		var tag string
+		for _, a := range n.Attrs {
+			if a.Key == "memo" {
+				tag = a.Value
 			}
 		}
+		var below []string
+		for _, c := range n.Children {
+			below = append(below, c.Name)
+		}
+		tags = append(tags, tag+":"+strings.Join(below, ","))
 	}
-	if verifies != 2 || hits != 1 {
-		t.Fatalf("%d zkedb.verify spans, %d tagged memo=hit; want 2 and 1", verifies, hits)
+	sort.Strings(tags)
+	if want := []string{"hit:", "miss:zkedb.verify"}; !reflect.DeepEqual(tags, want) {
+		t.Fatalf("poc.verify spans (memo tag: children) = %q, want %q", tags, want)
 	}
 }
 
@@ -290,7 +302,7 @@ func TestVerifyMemoEviction(t *testing.T) {
 	fx := newMemoFixture(t)
 	memo := NewVerifyMemo(fx.ps, 1)
 	ctx := context.Background()
-	evictions0 := memoMetrics().evictions.Value()
+	evictions0 := memoEvictions().Value()
 	hits0, misses0 := memoCounts()
 	for _, c := range append(fx.honest(), fx.honest()[0]) {
 		if _, err := memo.Verify(ctx, fx.credential, c.id, c.proof); err != nil {
@@ -300,7 +312,7 @@ func TestVerifyMemoEviction(t *testing.T) {
 	if hits, misses := memoCounts(); hits != hits0 || misses-misses0 != 3 {
 		t.Fatalf("%d hits, %d misses, want 0 and 3", hits-hits0, misses-misses0)
 	}
-	if got := memoMetrics().evictions.Value() - evictions0; got != 2 {
+	if got := memoEvictions().Value() - evictions0; got != 2 {
 		t.Fatalf("eviction counter advanced by %d, want 2", got)
 	}
 	if n := memo.lru.len(); n != 1 {
@@ -370,7 +382,7 @@ func TestVerifyMemoFootprint(t *testing.T) {
 		return ms.HeapAlloc
 	}
 	before := heap()
-	memo := newLRU[memoKey, []byte](keys, memoMetrics().evictions)
+	memo := newLRU[memoKey, []byte](keys, memoEvictions())
 	for i := 0; i < keys; i++ {
 		var n [8]byte
 		binary.BigEndian.PutUint64(n[:], uint64(i))

@@ -309,6 +309,8 @@ func (t *Tracer) child(parent *Span, name string, attrs []Attr) *Span {
 }
 
 // newSpan builds a live span; a nil col allocates a fresh collector (root).
+// It copies attrs, so a caller's variadic attribute list never escapes and
+// an unsampled call site allocates nothing for it.
 func (t *Tracer) newSpan(col *collector, root bool, traceID, parentID, name string, attrs []Attr) *Span {
 	if col == nil {
 		col = &collector{tracer: t, traceID: traceID}
@@ -323,7 +325,7 @@ func (t *Tracer) newSpan(col *collector, root bool, traceID, parentID, name stri
 			Name:     name,
 			Service:  t.Service(),
 			Start:    time.Now(),
-			Attrs:    attrs,
+			Attrs:    append([]Attr(nil), attrs...),
 		},
 	}
 }

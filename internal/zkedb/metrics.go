@@ -8,7 +8,7 @@ import (
 
 // proofMetrics are the per-geometry proof timing histograms, labelled by the
 // tree geometry (q, h) and the proof kind. They are built once per CRS and
-// cached, so Prove/Verify pay one atomic pointer load per call.
+// cached, so Prove/VerifyCtx pay one atomic pointer load per call.
 type proofMetrics struct {
 	proveOwn  *obs.Histogram
 	proveNon  *obs.Histogram

@@ -60,17 +60,16 @@ func updateMetrics(backend string) *obs.Histogram {
 // compare a reopened tree's commitment with the registered POC and re-commit
 // on a mismatch.
 func (d *Decommitment) Update(ctx context.Context, delta map[string][]byte) (Commitment, error) {
-	_, span := trace.Default.StartChild(ctx, "zkedb.update",
+	_, stage := obs.StartStage(ctx, "zkedb.update",
 		trace.Int("keys", len(delta)),
 		trace.Int("q", d.crs.Params.Q), trace.Int("h", d.crs.Params.H),
 		trace.String("store", d.kv.Name()))
-	timer := obs.StartTimer()
 	com, err := d.update(ctx, delta)
+	var hist *obs.Histogram
 	if err == nil {
-		updateMetrics(d.kv.Name()).ObserveTimer(timer)
+		hist = updateMetrics(d.kv.Name())
 	}
-	span.SetError(err)
-	span.End()
+	stage.End(hist, err)
 	return com, err
 }
 

@@ -593,19 +593,16 @@ type proveStats struct {
 
 // Prove generates the proof for key (the paper's EDB-proof): an ownership
 // proof when the key is in the committed database, a non-ownership proof
-// otherwise. When ctx carries an active trace span, generation is recorded
-// as a "zkedb.prove" child span tagged with the tree geometry, the store
-// backend, the number of nodes hydrated from the store, the proof kind, and
-// any attributes attached via WithProveAttrs. ctx cancellation is honoured
-// between tree levels, so an expired deadline aborts a proof mid-walk
-// instead of paying for the remaining openings.
+// otherwise. It is one "zkedb.prove" stage: when ctx carries an active trace
+// span, generation is recorded as a child span tagged with the tree
+// geometry, the store backend, the number of nodes hydrated from the store
+// and the proof kind. ctx cancellation is honoured between tree levels, so
+// an expired deadline aborts a proof mid-walk instead of paying for the
+// remaining openings.
 func (d *Decommitment) Prove(ctx context.Context, key string) (*Proof, error) {
-	attrs := append([]trace.Attr{
+	_, stage := obs.StartStage(ctx, "zkedb.prove",
 		trace.Int("q", d.crs.Params.Q), trace.Int("h", d.crs.Params.H),
-		trace.String("store", d.kv.Name()),
-	}, proveAttrs(ctx)...)
-	_, span := trace.Default.StartChild(ctx, "zkedb.prove", attrs...)
-	timer := obs.StartTimer()
+		trace.String("store", d.kv.Name()))
 	st := &proveStats{}
 	d.treeMu.RLock()
 	proof, err := d.prove(ctx, key, st)
@@ -616,14 +613,14 @@ func (d *Decommitment) Prove(ctx context.Context, key string) (*Proof, error) {
 		err = d.kv.Flush()
 	}
 	d.treeMu.RUnlock()
+	span := stage.Span()
 	span.SetAttr(trace.Int("loaded_nodes", st.loaded))
+	var hist *obs.Histogram
 	if err == nil {
-		d.crs.metrics().prove(proof.Kind).ObserveTimer(timer)
+		hist = d.crs.metrics().prove(proof.Kind)
 		span.SetAttr(trace.String("kind", proof.Kind.String()))
-	} else {
-		span.SetError(err)
 	}
-	span.End()
+	stage.End(hist, err)
 	return proof, err
 }
 
@@ -763,10 +760,30 @@ func (d *Decommitment) proveNonOwnership(ctx context.Context, key string, st *pr
 	return proof, nil
 }
 
+// VerifyCtx is Verify as one "zkedb.verify" stage, the instrumented entry
+// to verification: it times a proof of a known kind into
+// desword_proof_verify_seconds and, when ctx carries an active span, records
+// a child span tagged with the tree geometry and proof kind.
+func (c *CRS) VerifyCtx(ctx context.Context, com Commitment, key string, proof *Proof) (value []byte, present bool, err error) {
+	_, stage := obs.StartStage(ctx, "zkedb.verify",
+		trace.Int("q", c.Params.Q), trace.Int("h", c.Params.H))
+	if span := stage.Span(); span != nil && proof != nil {
+		span.SetAttr(trace.String("kind", proof.Kind.String()))
+	}
+	var hist *obs.Histogram
+	if proof != nil && (proof.Kind == ProofOwnership || proof.Kind == ProofNonOwnership) {
+		hist = c.metrics().verify(proof.Kind)
+	}
+	value, present, err = c.Verify(com, key, proof)
+	stage.End(hist, err)
+	return value, present, err
+}
+
 // Verify checks a proof for key against a commitment (the paper's
 // EDB-Verify(σ, Com, x, π) → y / ⊥ / bad). On success it returns the proven
 // value and present=true for ownership proofs, or (nil, false) for
-// non-ownership proofs. Any inconsistency yields ErrBadProof.
+// non-ownership proofs. Any inconsistency yields ErrBadProof. It records
+// nothing; VerifyCtx is the instrumented entry.
 func (c *CRS) Verify(com Commitment, key string, proof *Proof) (value []byte, present bool, err error) {
 	if proof == nil {
 		return nil, false, fmt.Errorf("%w: nil proof", ErrBadProof)
@@ -774,7 +791,6 @@ func (c *CRS) Verify(com Commitment, key string, proof *Proof) (value []byte, pr
 	if proof.Kind != ProofOwnership && proof.Kind != ProofNonOwnership {
 		return nil, false, fmt.Errorf("%w: unknown proof kind %d", ErrBadProof, proof.Kind)
 	}
-	defer c.metrics().verify(proof.Kind).ObserveTimer(obs.StartTimer())
 	if len(proof.Levels) != c.Params.H {
 		return nil, false, fmt.Errorf("%w: %d levels, want %d", ErrBadProof, len(proof.Levels), c.Params.H)
 	}

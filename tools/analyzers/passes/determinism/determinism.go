@@ -61,7 +61,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 			for _, name := range []string{"Now", "Since", "Until"} {
 				if lintutil.IsFunc(callee, "time", name) {
 					pass.Reportf(n.Pos(),
-						"time.%s in a proof package; proof generation/verification must be a pure function of (CRS, db, key) — move timing to the caller or the obs timer",
+						"time.%s in a proof package; proof generation/verification must be a pure function of (CRS, db, key) — move timing to the caller or an obs.Stage",
 						name)
 				}
 			}
