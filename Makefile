@@ -49,10 +49,10 @@ events-smoke:
 	$(GO) test -run '^TestEventsSmoke$$' -count=1 -v ./internal/events
 
 # store-smoke runs the durable node-store lifecycle end to end (see
-# TestStoreSmoke): commit a file-backed tree with small batches, update it
-# incrementally, reopen it cold and verify ownership and non-ownership
-# proofs against the updated commitment — the whole DESIGN.md §13 path a
-# restarted participant depends on.
+# TestStoreSmoke): commit a whole database into a file-backed tree with
+# small batches, close it, reopen it cold with a bounded cache and verify
+# ownership and non-ownership proofs against the commitment — the whole
+# DESIGN.md §13 path a restarted participant depends on.
 store-smoke:
 	$(GO) test -run '^TestStoreSmoke$$' -count=1 -v ./internal/zkedb
 

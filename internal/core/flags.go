@@ -122,16 +122,20 @@ func FileTaskStores(dir string, batchPuts int) StoreFactory {
 	}
 }
 
-// storeFileName maps an arbitrary task ID onto a safe file-name fragment.
+// storeFileName maps a task ID onto a safe file-name fragment, one to one:
+// bytes in [A-Za-z0-9.-] stay as they are and every other byte, '_'
+// included, becomes '_' and two hex digits. Distinct tasks therefore never
+// share a store file, so re-committing one task cannot remove another's.
 func storeFileName(taskID string) string {
-	return strings.Map(func(r rune) rune {
+	var b strings.Builder
+	for i := 0; i < len(taskID); i++ {
+		c := taskID[i]
 		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		case r == '-' || r == '_' || r == '.':
-			return r
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '.':
+			b.WriteByte(c)
 		default:
-			return '_'
+			fmt.Fprintf(&b, "_%02x", c)
 		}
-	}, taskID)
+	}
+	return b.String()
 }

@@ -103,27 +103,6 @@ func (m *Member) CommitTask(taskID string) (poc.POC, error) {
 	return credential, nil
 }
 
-// UpdateTask advances an already-committed task with newly processed traces
-// (a follow-on distribution handing this member more product ids): the
-// DPOC's commitment tree is revised incrementally along only the touched
-// paths — not rebuilt — and the refreshed credential is returned for
-// re-registration with the proxy. Queries in flight complete against the
-// old credential.
-func (m *Member) UpdateTask(ctx context.Context, taskID string, traces []poc.Trace) (poc.POC, error) {
-	entry, err := m.task(taskID)
-	if err != nil {
-		return poc.POC{}, err
-	}
-	credential, err := entry.dpoc.Update(ctx, traces)
-	if err != nil {
-		return poc.POC{}, fmt.Errorf("core: %s updating task %s: %w", m.part.ID(), taskID, err)
-	}
-	m.mu.Lock()
-	entry.credential = credential
-	m.mu.Unlock()
-	return credential, nil
-}
-
 // SetNextHop records which child received the product after this member in
 // the given task — the knowledge a real participant has from its own
 // shipping manifests.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,8 +13,9 @@ import (
 
 // TestMemberFileTaskStores pins the durable-member path: CommitTask through
 // a FileTaskStores factory lands the tree in a per-task store file, queries
-// prove against it, and re-committing the task replaces the previous file
-// instead of tripping the non-empty-store guard.
+// prove against it, re-committing the task replaces the previous file
+// instead of tripping the non-empty-store guard, and two task ids that
+// differ only in characters a file name cannot hold keep separate files.
 func TestMemberFileTaskStores(t *testing.T) {
 	ps := corePS(t)
 	dir := t.TempDir()
@@ -53,75 +53,19 @@ func TestMemberFileTaskStores(t *testing.T) {
 	if _, err := m.CommitTask("task/1"); err != nil {
 		t.Fatalf("re-CommitTask: %v", err)
 	}
-}
 
-// TestMemberUpdateTask pins the incremental-commit path at the member layer:
-// UpdateTask revises the committed tree with late-arriving traces, returns a
-// refreshed credential, and both old and new products prove against it.
-func TestMemberUpdateTask(t *testing.T) {
-	ps := corePS(t)
-	m := NewMember(ps, supplychain.NewParticipant("v2"))
-	if err := m.Participant().RecordTrace(poc.Trace{Product: "id-old", Data: []byte("op=old")}); err != nil {
-		t.Fatal(err)
-	}
-	oldCred, err := m.CommitTask("task-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	newCred, err := m.UpdateTask(context.Background(), "task-1",
-		[]poc.Trace{{Product: "id-new", Data: []byte("op=new")}})
-	if err != nil {
-		t.Fatalf("UpdateTask: %v", err)
-	}
-	if newCred.Equal(oldCred) {
-		t.Fatal("UpdateTask returned the stale credential")
-	}
-	got, err := m.POC("task-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(newCred) {
-		t.Fatal("member kept the stale credential after UpdateTask")
-	}
-	for id, wantData := range map[poc.ProductID]string{"id-old": "op=old", "id-new": "op=new"} {
-		resp, err := m.Query(context.Background(), "task-1", id, Good)
-		if err != nil {
-			t.Fatalf("Query(%s): %v", id, err)
-		}
-		tr, err := poc.Verify(context.Background(), ps, newCred, id, resp.Proof)
-		if err != nil {
-			t.Fatalf("Verify(%s) against updated credential: %v", id, err)
-		}
-		if tr == nil || string(tr.Data) != wantData {
-			t.Fatalf("Verify(%s) recovered %v, want %q", id, tr, wantData)
+	// "lot/7" and "lot_7" must not share a file: committing the second must
+	// not remove the first task's tree.
+	for _, id := range []string{"lot/7", "lot_7"} {
+		if _, err := m.CommitTask(id); err != nil {
+			t.Fatalf("CommitTask(%q): %v", id, err)
 		}
 	}
-	// Duplicate product ids within one batch must be rejected, like Agg
-	// rejects them within one database.
-	if _, err := m.UpdateTask(context.Background(), "task-1", []poc.Trace{
-		{Product: "id-dup", Data: []byte("a")},
-		{Product: "id-dup", Data: []byte("b")},
-	}); !errors.Is(err, poc.ErrDuplicateTrace) {
-		t.Fatalf("duplicate UpdateTask = %v, want ErrDuplicateTrace", err)
-	}
-	// Re-recording an already-committed product is an amendment, not an
-	// error: the trace value is replaced along its path.
-	amended, err := m.UpdateTask(context.Background(), "task-1",
-		[]poc.Trace{{Product: "id-old", Data: []byte("op=amended")}})
-	if err != nil {
-		t.Fatalf("amending UpdateTask: %v", err)
-	}
-	resp, err := m.Query(context.Background(), "task-1", "id-old", Good)
-	if err != nil {
+	if entries, err = os.ReadDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := poc.Verify(context.Background(), ps, amended, "id-old", resp.Proof)
-	if err != nil || tr == nil || string(tr.Data) != "op=amended" {
-		t.Fatalf("amended trace verify = (%v, %v), want op=amended", tr, err)
-	}
-	// Uncommitted tasks cannot be updated.
-	if _, err := m.UpdateTask(context.Background(), "task-none", nil); !errors.Is(err, ErrNotCommitted) {
-		t.Fatalf("UpdateTask on missing task = %v, want ErrNotCommitted", err)
+	if len(entries) != 3 {
+		t.Fatalf("three tasks left %d store files, want 3: %v", len(entries), entries)
 	}
 }
 

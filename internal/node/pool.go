@@ -178,8 +178,12 @@ func (p *Pool) Close() error {
 // connection, and the attempt count — and grafts the spans the server
 // returns into the local trace.
 func (p *Pool) Exchange(ctx context.Context, msgType string, payload any) (*wire.Envelope, error) {
-	ctx, span := trace.Default.StartChild(ctx, "wire."+msgType,
-		trace.String("addr", p.addr))
+	var span *trace.Span
+	if trace.FromContext(ctx) != nil {
+		// Only a traced exchange pays for building its span name.
+		ctx, span = trace.Default.StartChild(ctx, "wire."+msgType,
+			trace.String("addr", p.addr))
+	}
 	env, err := p.exchangeAttempts(ctx, span, msgType, payload)
 	span.SetError(err)
 	span.End()

@@ -20,8 +20,8 @@ var cacheEvictions = sync.OnceValue(func() *obs.Counter {
 })
 
 // proofCache is a DPOC's proof cache: product id → proof. Entries never go
-// stale: the decommitment tree changes only through DPOC.Update, which swaps
-// in a fresh cache, so invalidation is structural (DESIGN §10).
+// stale: a committed decommitment tree never changes, so nothing needs
+// invalidating (DESIGN §10).
 type proofCache = lru[ProductID, *Proof]
 
 // newProofCache translates the AggOptions knob: 0 selects the default size,

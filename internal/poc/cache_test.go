@@ -133,7 +133,7 @@ func TestProveCacheEviction(t *testing.T) {
 	if got := cacheEvictions().Value() - evictions0; got != 2 {
 		t.Errorf("eviction counter advanced by %d, want 2", got)
 	}
-	if got := dpoc.cache.Load().len(); got != 1 {
+	if got := dpoc.cache.len(); got != 1 {
 		t.Errorf("cache holds %d entries, want 1", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestProveErrorNotCached(t *testing.T) {
 	if _, err := dpoc.Prove(cancelled, "id-00"); err == nil {
 		t.Fatal("Prove with cancelled ctx succeeded")
 	}
-	if got := dpoc.cache.Load().len(); got != 0 {
+	if got := dpoc.cache.len(); got != 0 {
 		t.Fatalf("failed computation left %d cache entries", got)
 	}
 	if _, err := dpoc.Prove(context.Background(), "id-00"); err != nil {

@@ -31,8 +31,8 @@ type memoKey [sha256.Size]byte
 // proof arrived as, and each key holds the trace value the verification
 // recovered (nothing for non-ownership), so a hit neither encodes nor
 // decodes: equal keys mean equal bytes, and equal bytes are one proof.
-// Rejections are never remembered. A POC never changes once aggregated
-// (Update mints a new commitment, hence new keys), so entries never need
+// Rejections are never remembered. A POC never changes once aggregated (a
+// new task is a new commitment, hence new keys), so entries never need
 // invalidating; the LRU bound is the only way out. See DESIGN.md §10.
 type VerifyMemo struct {
 	ps  *PublicParams

@@ -78,14 +78,6 @@ func (d *Decommitment) cacheInsertLocked(key string, cs *cacheSlot) {
 	}
 }
 
-// cacheDeleteLocked drops a hydrated entry, if resident. d.mu must be held.
-func (d *Decommitment) cacheDeleteLocked(key string) {
-	if el, ok := d.ents[key]; ok {
-		d.ll.Remove(el)
-		delete(d.ents, key)
-	}
-}
-
 // ResidentNodes reports how many hydrated nodes and soft entries are
 // currently cached (excluding the pinned root). Benchmarks use it to show
 // peak memory staying bounded below tree size.
@@ -111,9 +103,9 @@ func (d *Decommitment) putNode(pk string, n *node) error {
 }
 
 // nodeAt resolves the node at a digit-path key, hydrating it from the store
-// on a cache miss. The tree is immutable while callers hold treeMu (shared
-// for proofs, exclusive for Update), so a racing double-hydration of the
-// same node is harmless: both copies decode identical bytes.
+// on a cache miss. A committed tree's nodes are never rewritten, so a racing
+// double-hydration of the same node is harmless: both copies decode
+// identical bytes.
 func (d *Decommitment) nodeAt(pk string, st *proveStats) (*node, error) {
 	if pk == "" {
 		return d.root, nil

@@ -16,15 +16,14 @@ import (
 //
 // Layout:
 //
-//	header:  "DSWKV1\n"
+//	header:  "DSWKV2\n"
 //	put:     0x01 ‖ uvarint(len key) ‖ key ‖ uvarint(len val) ‖ val ‖ crc32
-//	delete:  0x02 ‖ uvarint(len key) ‖ key ‖ crc32
 //	commit:  0x03 ‖ uvarint(records in batch) ‖ crc32
 //
 // Every crc32 (IEEE) covers the record from its type byte up to the
-// checksum. A batch is the run of put/delete records since the previous
-// commit marker; Flush writes the staged records in sorted key order
-// followed by one marker, so a batch is applied all-or-nothing: a reopen
+// checksum. A batch is the run of put records since the previous commit
+// marker; Flush writes the staged records in sorted key order followed by
+// one marker, so a batch is applied all-or-nothing: a reopen
 // replays records into a staging set and merges it into the live index only
 // at a valid marker. Anything after the last valid marker — a torn write, a
 // truncated batch, trailing garbage — is discarded and the file truncated
@@ -35,13 +34,16 @@ import (
 // in-memory index; stale versions remain in the file until a future
 // compaction. Get serves committed records by offset via ReadAt and staged
 // records from the pending buffer, so readers always observe their writes.
+//
+// A version 1 log ("DSWKV1\n") could also hold a delete record (0x02). This
+// scanner would read one as a torn tail and truncate every batch after it,
+// so a version 1 log is refused with ErrBadFile and left as it is.
 
 // File header and record types.
 const (
-	fileHeader = "DSWKV1\n"
+	fileHeader = "DSWKV2\n"
 
 	recPut    = 0x01
-	recDelete = 0x02
 	recCommit = 0x03
 )
 
@@ -49,7 +51,7 @@ const (
 // Flush when FileOptions.BatchPuts is left at zero.
 const DefaultBatchPuts = 1024
 
-// ErrBadFile reports a store file whose header is not a DSWKV log.
+// ErrBadFile reports a store file whose header is not a DSWKV2 log.
 var ErrBadFile = errors.New("store: not a node-store file")
 
 // FileOptions configures a File store.
@@ -75,12 +77,11 @@ type File struct {
 	path string
 
 	mu         sync.Mutex
-	f          *os.File            // guarded by mu
-	size       int64               // guarded by mu; committed append offset
-	index      map[string]span     // guarded by mu
-	pendingPut map[string][]byte   // guarded by mu
-	pendingDel map[string]struct{} // guarded by mu
-	closed     bool                // guarded by mu
+	f          *os.File          // guarded by mu
+	size       int64             // guarded by mu; committed append offset
+	index      map[string]span   // guarded by mu
+	pendingPut map[string][]byte // guarded by mu
+	closed     bool              // guarded by mu
 }
 
 // OpenFile opens (or creates) a file-backed store at path, replaying every
@@ -96,7 +97,6 @@ func OpenFile(path string, opts FileOptions) (*File, error) {
 		f:          f,
 		index:      make(map[string]span),
 		pendingPut: make(map[string][]byte),
-		pendingDel: make(map[string]struct{}),
 	}
 	if err := s.replayLocked(); err != nil {
 		_ = f.Close()
@@ -131,44 +131,26 @@ func (s *File) replayLocked() error {
 
 	base := int64(len(fileHeader))
 	committed := int64(0) // offset into data of the last applied marker's end
-	staged := make(map[string]*span)
-	stagedDel := make(map[string]struct{})
+	staged := make(map[string]span)
 	stagedCount := 0
-	off := int64(0)
-	for off < int64(len(data)) {
+	for off := int64(0); off < int64(len(data)); {
 		rec, next, ok := scanRecord(data, off)
 		if !ok {
 			break // torn or corrupt tail
 		}
-		switch rec.typ {
-		case recPut:
-			sp := rec.val
-			staged[string(rec.key)] = &sp
-			delete(stagedDel, string(rec.key))
+		if rec.typ == recPut {
+			staged[string(rec.key)] = rec.val
 			stagedCount++
-		case recDelete:
-			delete(staged, string(rec.key))
-			stagedDel[string(rec.key)] = struct{}{}
-			stagedCount++
-		case recCommit:
+		} else {
 			if rec.count != uint64(stagedCount) {
-				// Marker disagrees with the batch it closes: treat as torn.
-				off = int64(len(data)) + 1
-				break
+				break // marker disagrees with the batch it closes: torn
 			}
 			for k, sp := range staged {
 				s.index[k] = span{off: base + sp.off, n: sp.n}
 			}
-			for k := range stagedDel {
-				delete(s.index, k)
-			}
-			staged = make(map[string]*span)
-			stagedDel = make(map[string]struct{})
+			staged = make(map[string]span)
 			stagedCount = 0
 			committed = next
-		}
-		if off == int64(len(data))+1 {
-			break
 		}
 		off = next
 	}
@@ -229,12 +211,6 @@ func scanRecord(data []byte, off int64) (scannedRecord, int64, bool) {
 		}
 		rec.val = span{off: i, n: int(n)}
 		i += int64(n)
-	case recDelete:
-		key, ok := readBytes()
-		if !ok {
-			return rec, 0, false
-		}
-		rec.key = key
 	case recCommit:
 		n, ok := readUvarint()
 		if !ok {
@@ -269,9 +245,6 @@ func (s *File) Get(key string) ([]byte, bool, error) {
 		copy(out, val)
 		return out, true, nil
 	}
-	if _, ok := s.pendingDel[key]; ok {
-		return nil, false, nil
-	}
 	sp, ok := s.index[key]
 	if !ok {
 		return nil, false, nil
@@ -293,24 +266,6 @@ func (s *File) Put(key string, val []byte) error {
 		return fmt.Errorf("store: %s is closed", s.path)
 	}
 	s.pendingPut[key] = cp
-	delete(s.pendingDel, key)
-	full := s.batchFullLocked()
-	s.mu.Unlock()
-	if full {
-		return s.Flush()
-	}
-	return nil
-}
-
-// Delete implements KV.
-func (s *File) Delete(key string) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("store: %s is closed", s.path)
-	}
-	delete(s.pendingPut, key)
-	s.pendingDel[key] = struct{}{}
 	full := s.batchFullLocked()
 	s.mu.Unlock()
 	if full {
@@ -329,7 +284,7 @@ func (s *File) batchFullLocked() bool {
 	if limit == 0 {
 		limit = DefaultBatchPuts
 	}
-	return len(s.pendingPut)+len(s.pendingDel) >= limit
+	return len(s.pendingPut) >= limit
 }
 
 // List implements KV.
@@ -337,9 +292,6 @@ func (s *File) List(prefix string) ([]string, error) {
 	s.mu.Lock()
 	keys := make([]string, 0, len(s.index)+len(s.pendingPut))
 	for k := range s.index {
-		if _, del := s.pendingDel[k]; del {
-			continue
-		}
 		if _, staged := s.pendingPut[k]; staged {
 			continue
 		}
@@ -369,8 +321,7 @@ func (s *File) flushLocked() error {
 	if s.closed {
 		return fmt.Errorf("store: %s is closed", s.path)
 	}
-	total := len(s.pendingPut) + len(s.pendingDel)
-	if total == 0 {
+	if len(s.pendingPut) == 0 {
 		return nil
 	}
 	putKeys := make([]string, 0, len(s.pendingPut))
@@ -378,11 +329,6 @@ func (s *File) flushLocked() error {
 		putKeys = append(putKeys, k)
 	}
 	sort.Strings(putKeys)
-	delKeys := make([]string, 0, len(s.pendingDel))
-	for k := range s.pendingDel {
-		delKeys = append(delKeys, k)
-	}
-	sort.Strings(delKeys)
 
 	buf := make([]byte, 0, 1024)
 	spans := make(map[string]span, len(putKeys))
@@ -404,16 +350,9 @@ func (s *File) flushLocked() error {
 			return append(b, val...)
 		})
 	}
-	for _, k := range delKeys {
-		appendRecord(func(b []byte) []byte {
-			b = append(b, recDelete)
-			b = binary.AppendUvarint(b, uint64(len(k)))
-			return append(b, k...)
-		})
-	}
 	appendRecord(func(b []byte) []byte {
 		b = append(b, recCommit)
-		return binary.AppendUvarint(b, uint64(total))
+		return binary.AppendUvarint(b, uint64(len(putKeys)))
 	})
 
 	if _, err := s.f.WriteAt(buf, s.size); err != nil {
@@ -428,11 +367,7 @@ func (s *File) flushLocked() error {
 	for k, sp := range spans {
 		s.index[k] = sp
 	}
-	for _, k := range delKeys {
-		delete(s.index, k)
-	}
 	s.pendingPut = make(map[string][]byte)
-	s.pendingDel = make(map[string]struct{})
 
 	m := fileMetrics()
 	m.batches.Inc()

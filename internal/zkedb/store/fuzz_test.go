@@ -26,7 +26,7 @@ func FuzzStoreReopen(f *testing.F) {
 	if err := s.Flush(); err != nil {
 		f.Fatal(err)
 	}
-	if err := s.Delete("s/ab"); err != nil {
+	if err := s.Put("s/ab", []byte("overwritten")); err != nil {
 		f.Fatal(err)
 	}
 	if err := s.Put("n/b", []byte("second batch")); err != nil {
@@ -44,7 +44,7 @@ func FuzzStoreReopen(f *testing.F) {
 	f.Add(seed[:len(seed)*2/3])   // truncated mid-batch
 	f.Add(seed[:len(fileHeader)]) // header only
 	f.Add([]byte{})
-	f.Add([]byte("DSWKV1\n\x01\x03n/x\x05hello"))
+	f.Add([]byte(fileHeader + "\x01\x03n/x\x05hello"))
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)

@@ -7,7 +7,8 @@
 // entries, "m/" metadata — see package zkedb for the encodings). The store
 // knows nothing about the tree; it only promises durable, batch-atomic
 // puts, so the zkedb layer above can hydrate nodes lazily during proofs
-// instead of holding the whole tree in memory.
+// instead of holding the whole tree in memory. A committed tree never
+// changes, so a store has no delete.
 //
 // Two backends ship:
 //
@@ -28,8 +29,8 @@ import (
 // for concurrent use: the parallel commit builder puts from many
 // goroutines, and concurrent proofs get while a batch is pending.
 //
-// Put and Delete stage into the current batch; records become durable (and
-// survive a crash, for durable backends) only once Flush commits the batch.
+// Put stages into the current batch; records become durable (and survive a
+// crash, for durable backends) only once Flush commits the batch.
 // Get and List observe staged writes immediately — the batch is a
 // write-through buffer, not a fork.
 type KV interface {
@@ -39,9 +40,7 @@ type KV interface {
 	Get(key string) ([]byte, bool, error)
 	// Put stages a record into the current batch.
 	Put(key string, val []byte) error
-	// Delete stages a removal into the current batch.
-	Delete(key string) error
-	// List returns every live key with the given prefix, sorted.
+	// List returns every key with the given prefix, sorted.
 	List(prefix string) ([]string, error)
 	// Flush atomically commits the staged batch.
 	Flush() error
@@ -113,14 +112,6 @@ func (s *Mem) Put(key string, val []byte) error {
 	m := memMetrics()
 	m.batchPuts.Inc()
 	m.bytesWritten.Add(uint64(len(key) + len(val)))
-	return nil
-}
-
-// Delete implements KV.
-func (s *Mem) Delete(key string) error {
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
 	return nil
 }
 

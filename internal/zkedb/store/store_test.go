@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -23,8 +24,8 @@ func openTestFile(t *testing.T, opts FileOptions) (*File, string) {
 }
 
 // TestKVContract runs the behaviour both backends must share: staged writes
-// are read-your-own, deletes hide records, List is sorted and
-// prefix-filtered.
+// are read-your-own, List is sorted and prefix-filtered, and an overwrite
+// replaces a record rather than adding a second one.
 func TestKVContract(t *testing.T) {
 	backends := []struct {
 		name string
@@ -61,21 +62,8 @@ func TestKVContract(t *testing.T) {
 			if want := []string{"n/a", "n/ab"}; !reflect.DeepEqual(keys, want) {
 				t.Fatalf("List(n/) = %v, want %v", keys, want)
 			}
-			if err := kv.Delete("n/ab"); err != nil {
-				t.Fatalf("Delete: %v", err)
-			}
-			if _, ok, _ := kv.Get("n/ab"); ok {
-				t.Fatal("deleted key still visible")
-			}
 			if err := kv.Flush(); err != nil {
 				t.Fatalf("Flush: %v", err)
-			}
-			keys, err = kv.List("n/")
-			if err != nil {
-				t.Fatalf("List after flush: %v", err)
-			}
-			if want := []string{"n/a"}; !reflect.DeepEqual(keys, want) {
-				t.Fatalf("List(n/) after delete = %v, want %v", keys, want)
 			}
 			// Overwrite moves the record, not duplicates it.
 			if err := kv.Put("n/a", []byte("node-a-v2")); err != nil {
@@ -85,12 +73,19 @@ func TestKVContract(t *testing.T) {
 			if err != nil || !ok || string(got) != "node-a-v2" {
 				t.Fatalf("Get after overwrite = %q ok=%v err=%v", got, ok, err)
 			}
+			keys, err = kv.List("n/")
+			if err != nil {
+				t.Fatalf("List after overwrite: %v", err)
+			}
+			if want := []string{"n/a", "n/ab"}; !reflect.DeepEqual(keys, want) {
+				t.Fatalf("List(n/) after overwrite = %v, want %v", keys, want)
+			}
 		})
 	}
 }
 
 // TestFileReopen pins durability: committed batches survive a close/reopen
-// byte for byte, including deletes and overwrites.
+// byte for byte, including overwrites.
 func TestFileReopen(t *testing.T) {
 	s, path := openTestFile(t, FileOptions{})
 	records := map[string]string{"n/": "root", "n/a": "child", "d/key": "value", "m/seed": "seed"}
@@ -99,14 +94,8 @@ func TestFileReopen(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	if err := s.Put("n/gone", []byte("ephemeral")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
 	if err := s.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
-	}
-	if err := s.Delete("n/gone"); err != nil {
-		t.Fatalf("Delete: %v", err)
 	}
 	if err := s.Put("n/a", []byte("child-v2")); err != nil {
 		t.Fatalf("Put: %v", err)
@@ -127,8 +116,8 @@ func TestFileReopen(t *testing.T) {
 			t.Fatalf("after reopen Get(%s) = %q ok=%v err=%v, want %q", k, got, ok, err, v)
 		}
 	}
-	if _, ok, _ := re.Get("n/gone"); ok {
-		t.Fatal("deleted record resurrected by reopen")
+	if keys, err := re.List(""); err != nil || len(keys) != len(records) {
+		t.Fatalf("after reopen List = %v (err %v), want %d keys", keys, err, len(records))
 	}
 }
 
@@ -319,6 +308,41 @@ func TestFileBadHeader(t *testing.T) {
 	}
 	if _, err := OpenFile(path, FileOptions{}); !errors.Is(err, ErrBadFile) {
 		t.Fatalf("OpenFile(foreign) = %v, want ErrBadFile", err)
+	}
+}
+
+// TestFileRefusesVersion1Log pins the format version: a log with the
+// version 1 header, which could hold delete records, is refused and left
+// byte for byte as it was, not replayed and truncated at its first delete.
+func TestFileRefusesVersion1Log(t *testing.T) {
+	var log []byte
+	record := func(fields ...[]byte) {
+		start := len(log)
+		for _, f := range fields {
+			log = append(log, f...)
+		}
+		log = binary.BigEndian.AppendUint32(log, crc32.ChecksumIEEE(log[start:]))
+	}
+	lenPrefixed := func(s string) []byte {
+		return append(binary.AppendUvarint(nil, uint64(len(s))), s...)
+	}
+	log = append(log, "DSWKV1\n"...)
+	record([]byte{0x01}, lenPrefixed("n/a"), lenPrefixed("kept")) // put
+	record([]byte{0x02}, lenPrefixed("n/b"))                      // delete
+	record([]byte{0x03}, binary.AppendUvarint(nil, 2))            // commit
+	path := filepath.Join(t.TempDir(), "v1.kv")
+	if err := os.WriteFile(path, log, 0o600); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	if _, err := OpenFile(path, FileOptions{}); !errors.Is(err, ErrBadFile) {
+		t.Fatalf("OpenFile(version 1 log) = %v, want ErrBadFile", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	if !bytes.Equal(after, log) {
+		t.Fatal("refusing the version 1 log changed its bytes")
 	}
 }
 

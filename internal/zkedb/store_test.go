@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -131,131 +130,6 @@ func TestCrossBackendByteIdentity(t *testing.T) {
 	}
 	if !bytes.Equal(storeImage(t, memDec), storeImage(t, fileDec)) {
 		t.Fatal("node-store image differs between backends")
-	}
-}
-
-// TestUpdateMatchesFreshRebuild pins the incremental-commit invariant: a
-// seeded tree updated with a delta — new keys and overwrites alike — reaches
-// the byte-identical commitment, proofs and node-store image of a fresh
-// seeded Commit over the merged database, even when a non-ownership proof
-// lazily created soft entries before the update.
-func TestUpdateMatchesFreshRebuild(t *testing.T) {
-	crs := testCRS(t)
-	seed := []byte("update-rebuild-seed")
-	db := testDB(8)
-	_, dec, err := crs.Commit(db, CommitOptions{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dec.Prove(context.Background(), "still-absent"); err != nil {
-		t.Fatal(err)
-	}
-
-	delta := map[string][]byte{
-		"update-new-1": []byte("fresh value 1"),
-		"update-new-2": []byte("fresh value 2"),
-		"product-003":  []byte("overwritten value"), // existing key
-	}
-	updatedCom, err := dec.Update(context.Background(), delta)
-	if err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-
-	merged := make(map[string][]byte, len(db)+len(delta))
-	for k, v := range db {
-		merged[k] = v
-	}
-	for k, v := range delta {
-		merged[k] = v
-	}
-	rebuiltCom, rebuiltDec, err := crs.Commit(merged, CommitOptions{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(updatedCom.Bytes(), rebuiltCom.Bytes()) {
-		t.Fatal("updated commitment differs from fresh rebuild")
-	}
-	for key := range merged {
-		if !bytes.Equal(proveBytes(t, dec, key), proveBytes(t, rebuiltDec, key)) {
-			t.Fatalf("proof for %q differs between update and rebuild", key)
-		}
-	}
-	requireSameChain(t, dec, rebuiltDec, "still-absent")
-	if !bytes.Equal(storeImage(t, dec), storeImage(t, rebuiltDec)) {
-		t.Fatal("node-store image differs between update and rebuild")
-	}
-}
-
-// TestUpdatePropertyEquivalence is the randomized version: arbitrary split
-// of a key set into base and delta batches must converge to the fresh-build
-// commitment, whatever the batch boundaries.
-func TestUpdatePropertyEquivalence(t *testing.T) {
-	crs := testCRS(t)
-	seed := []byte("update-property-seed")
-	const total = 12
-	for _, splits := range [][]int{{6, 3, 3}, {1, 11}, {11, 1}, {4, 4, 4}} {
-		t.Run(fmt.Sprintf("splits=%v", splits), func(t *testing.T) {
-			all := make(map[string][]byte, total)
-			next := 0
-			take := func(n int) map[string][]byte {
-				batch := make(map[string][]byte, n)
-				for i := 0; i < n; i++ {
-					key := fmt.Sprintf("prop-key-%02d", next)
-					val := []byte(fmt.Sprintf("prop-val-%02d", next))
-					batch[key] = val
-					all[key] = val
-					next++
-				}
-				return batch
-			}
-			_, dec, err := crs.Commit(take(splits[0]), CommitOptions{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var com Commitment
-			for _, n := range splits[1:] {
-				if com, err = dec.Update(context.Background(), take(n)); err != nil {
-					t.Fatalf("Update: %v", err)
-				}
-			}
-			want, _, err := crs.Commit(all, CommitOptions{Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(com.Bytes(), want.Bytes()) {
-				t.Fatal("incremental batches diverged from fresh build")
-			}
-		})
-	}
-}
-
-// TestUpdateEdgeCases covers the non-happy paths: empty deltas are no-ops,
-// cancelled contexts abort, and invalid keys are rejected.
-func TestUpdateEdgeCases(t *testing.T) {
-	crs := testCRS(t)
-	com, dec, err := crs.Commit(testDB(4), CommitOptions{Seed: []byte("edge-seed")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := dec.Update(context.Background(), nil)
-	if err != nil {
-		t.Fatalf("empty Update: %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), com.Bytes()) {
-		t.Fatal("empty Update changed the commitment")
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := dec.Update(cancelled, map[string][]byte{"k": []byte("v")}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Update = %v, want context.Canceled", err)
-	}
-	// The failed update must not have corrupted the tree.
-	proof, err := dec.Prove(context.Background(), "product-000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, present, err := crs.Verify(com, "product-000", proof); err != nil || !present {
-		t.Fatalf("tree broken after cancelled update: present=%v err=%v", present, err)
 	}
 }
 
@@ -406,26 +280,21 @@ func TestCommitRefusesDirtyStore(t *testing.T) {
 	}
 }
 
-// TestStoreSmoke is the CI smoke: commit through the file backend with a
-// small batch size, update incrementally, reopen cold, and verify ownership
-// and non-ownership proofs against the updated commitment — the full
-// lifecycle a durable participant goes through.
+// TestStoreSmoke is the CI smoke: commit the whole database through the
+// file backend with a small batch size, close the store, reopen it cold with
+// a bounded cache, and verify ownership and non-ownership proofs against the
+// commitment — the lifecycle a restarted durable participant depends on.
 func TestStoreSmoke(t *testing.T) {
 	crs := testCRS(t)
 	db := testDB(6)
+	db["smoke-extra"] = []byte("late arrival")
 	seed := []byte("store-smoke-seed")
 	path := filepath.Join(t.TempDir(), "smoke.kv")
 	kv, err := store.OpenFile(path, store.FileOptions{BatchPuts: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dec, err := crs.Commit(db, CommitOptions{Seed: seed, Store: kv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	com, err := dec.Update(context.Background(), map[string][]byte{
-		"smoke-extra": []byte("late arrival"),
-	})
+	com, _, err := crs.Commit(db, CommitOptions{Seed: seed, Store: kv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,8 +316,9 @@ func TestStoreSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Prove(%q): %v", key, err)
 		}
-		if _, present, err := crs.Verify(com, key, proof); err != nil || !present {
-			t.Fatalf("smoke proof for %q failed: present=%v err=%v", key, present, err)
+		value, present, err := crs.Verify(com, key, proof)
+		if err != nil || !present || !bytes.Equal(value, db[key]) {
+			t.Fatalf("smoke proof for %q failed: value=%q present=%v err=%v", key, value, present, err)
 		}
 	}
 	proof, err := cold.Prove(context.Background(), "smoke-absent")

@@ -29,9 +29,9 @@
 // proofs with different values (Claim 2).
 //
 // The four algorithms match the paper's ZK-EDB API: CRSGen, (crs) Commit
-// [EDB-commit], (dec) Prove [EDB-proof], (crs) Verify [EDB-Verify]. Beyond
-// the paper, Update (update.go) revises a commitment incrementally, and the
-// tree itself lives in a pluggable node store (package zkedb/store) with
+// [EDB-commit], (dec) Prove [EDB-proof], (crs) Verify [EDB-Verify]. A
+// committed tree never changes: a new database is a new Commit. Beyond the
+// paper, the tree lives in a pluggable node store (package zkedb/store) with
 // lazy hydration, so a database is no longer bounded by RAM (DESIGN.md §13).
 package zkedb
 
@@ -227,7 +227,7 @@ func (c *CRS) absentMessage(key string) *big.Int {
 // leaf level (level == H) carries a hard mercurial commitment to the
 // key/value. Children are NOT held by pointer: the prover resolves them by
 // tree position through the node store, hydrating lazily during proofs.
-// Nodes are immutable once built — Update replaces touched nodes wholesale.
+// Nodes are immutable once built.
 type node struct {
 	level int
 	leaf  bool
@@ -276,16 +276,12 @@ type cacheSlot struct {
 // Decommitment is the prover's secret state (the paper's Dec / DE-Sword's
 // DPOC): the committed tree and database, resident in a pluggable node
 // store, plus a bounded cache of hydrated nodes and position-pinned soft
-// commitments. Safe for concurrent Prove calls; Update excludes proofs via
-// an internal tree lock.
+// commitments. Safe for concurrent Prove calls: the committed tree never
+// changes, so only the cache and lazily created soft entries need a lock.
 type Decommitment struct {
 	crs  *CRS
 	kv   store.KV
 	seed []byte
-
-	// treeMu orders tree mutation against readers: Prove and Commitment
-	// hold it shared, Update exclusively.
-	treeMu sync.RWMutex
 
 	// mu guards the hydrated-state cache below (and soft-entry creation).
 	mu    sync.Mutex
@@ -304,10 +300,8 @@ func (d *Decommitment) Params() Params { return d.crs.Params }
 func (d *Decommitment) Store() store.KV { return d.kv }
 
 // Commitment returns the database commitment this decommitment opens — the
-// root node's q-mercurial commitment. It reflects the latest Update.
+// root node's q-mercurial commitment.
 func (d *Decommitment) Commitment() Commitment {
-	d.treeMu.RLock()
-	defer d.treeMu.RUnlock()
 	return Commitment{Root: d.root.qCom}
 }
 
@@ -342,12 +336,11 @@ type CommitOptions struct {
 	// deterministic generator keyed by (Seed, tree position) instead of
 	// crypto/rand, making the build reproducible bit for bit at any worker
 	// count. Position keying means no draw depends on build order, which is
-	// what lets the parallel build match the serial one exactly — and what
-	// lets Update recompute a touched path to the same bytes a fresh build
-	// would produce. A seeded commitment forfeits hiding against anyone
-	// holding the seed; it exists for tests and byte-identity pinning, not
-	// production. The seed is retained in the decommitment state (it is as
-	// secret as the decommitment itself).
+	// what lets the parallel build match the serial one exactly. A seeded
+	// commitment forfeits hiding against anyone holding the seed; it exists
+	// for tests and byte-identity pinning, not production. The seed is
+	// retained in the decommitment state (it is as secret as the
+	// decommitment itself).
 	Seed []byte
 	// Store, when non-nil, is the node store the committed tree is written
 	// to — typically a *store.File so the tree survives restarts and can be
@@ -417,8 +410,8 @@ func (c *CRS) Commit(db map[string][]byte, opts CommitOptions) (Commitment, *Dec
 	return Commitment{Root: root.qCom}, dec, nil
 }
 
-// builder carries the per-build state shared by Commit and Update: the
-// worker-pool semaphore and the randomness mode.
+// builder carries one Commit's build state: the worker-pool semaphore and
+// the randomness mode.
 type builder struct {
 	crs  *CRS
 	dec  *Decommitment
@@ -604,7 +597,6 @@ func (d *Decommitment) Prove(ctx context.Context, key string) (*Proof, error) {
 		trace.Int("q", d.crs.Params.Q), trace.Int("h", d.crs.Params.H),
 		trace.String("store", d.kv.Name()))
 	st := &proveStats{}
-	d.treeMu.RLock()
 	proof, err := d.prove(ctx, key, st)
 	if err == nil && st.created > 0 {
 		// A non-ownership proof extended a soft chain: commit it so the
@@ -612,7 +604,6 @@ func (d *Decommitment) Prove(ctx context.Context, key string) (*Proof, error) {
 		// queries must answer with the same chain).
 		err = d.kv.Flush()
 	}
-	d.treeMu.RUnlock()
 	span := stage.Span()
 	span.SetAttr(trace.Int("loaded_nodes", st.loaded))
 	var hist *obs.Histogram
@@ -625,9 +616,9 @@ func (d *Decommitment) Prove(ctx context.Context, key string) (*Proof, error) {
 }
 
 func (d *Decommitment) prove(ctx context.Context, key string, st *proveStats) (*Proof, error) {
-	// The tree is immutable between Updates (excluded by treeMu); only the
-	// hydrated-state cache mutates, under its own lock. Proofs for different
-	// keys therefore run concurrently without serializing on d.mu.
+	// The committed tree is immutable; only the hydrated-state cache
+	// mutates, under its own lock. Proofs for different keys therefore run
+	// concurrently without serializing on d.mu.
 	present, err := d.hasKey(key)
 	if err != nil {
 		return nil, err
