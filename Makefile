@@ -1,7 +1,7 @@
 GO ?= go
 VET := bin/desword-vet
 
-.PHONY: all check build test vet fmt race bench benchmark-smoke events-smoke store-smoke saturation-smoke lint analyzers tidy fuzz-short
+.PHONY: all check build test vet fmt race bench bench-smoke benchmark-smoke events-smoke store-smoke saturation-smoke lint analyzers tidy fuzz-short
 
 all: check
 
@@ -33,6 +33,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-smoke runs every Benchmark function in the main module once
+# (-benchtime 1x). It times nothing; it only keeps the harnesses that
+# EXPERIMENTS.md cites from breaking unseen, since no test calls them.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # benchmark-smoke runs the benchmark module's own tests (benchmark/README.md):
 # the metric catalogue check and a short run of every workload, about a

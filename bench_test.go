@@ -29,6 +29,7 @@ import (
 	"desword/internal/sim"
 	"desword/internal/supplychain"
 	"desword/internal/zkedb"
+	"desword/internal/zkedb/store"
 )
 
 const benchModulusBits = 512
@@ -62,8 +63,23 @@ type macroFixture struct {
 	ps      *poc.PublicParams
 	cred    poc.POC
 	dpoc    *poc.DPOC
+	kv      store.KV
 	proof   *poc.Proof
 	product poc.ProductID
+}
+
+// coldDPOC reopens the DPOC committed into kv with its proof cache off, the
+// state of a restarted participant: no cached proof and no tree node's
+// witness memo is warm. The reopen is not timed.
+func coldDPOC(b *testing.B, ps *poc.PublicParams, kv store.KV) *poc.DPOC {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	_, dpoc, err := poc.OpenDPOC(ps, "vB", kv, 0, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return dpoc
 }
 
 func macroFixtureFor(b *testing.B, qh bench.QH) *macroFixture {
@@ -82,7 +98,8 @@ func macroFixtureFor(b *testing.B, qh bench.QH) *macroFixture {
 		{Product: "bench-id-0", Data: []byte("bench trace 0")},
 		{Product: "bench-id-1", Data: []byte("bench trace 1")},
 	}
-	cred, dpoc, err := poc.Agg(ps, "vB", traces, poc.AggOptions{ProofCacheSize: -1})
+	kv := store.NewMem()
+	cred, dpoc, err := poc.Agg(ps, "vB", traces, poc.AggOptions{Commit: zkedb.CommitOptions{Store: kv}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -90,7 +107,7 @@ func macroFixtureFor(b *testing.B, qh bench.QH) *macroFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fx := &macroFixture{ps: ps, cred: cred, dpoc: dpoc, proof: proof, product: "bench-id-0"}
+	fx := &macroFixture{ps: ps, cred: cred, dpoc: dpoc, kv: kv, proof: proof, product: "bench-id-0"}
 	macroFixtures[qh] = fx
 	return fx
 }
@@ -238,7 +255,7 @@ func BenchmarkE4Table2ProofSize(b *testing.B) {
 }
 
 // --- E5: Fig. 5 — ownership proof computation (gen ≫ verify at scale;
-// gen grows with q, verify tracks h) ---
+// gen grows with q, verify tracks h). Each proof runs on a cold prover. ---
 
 func BenchmarkE5Fig5ProofGen(b *testing.B) {
 	for _, qh := range bench.PaperQH() {
@@ -247,7 +264,7 @@ func BenchmarkE5Fig5ProofGen(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := fx.dpoc.Prove(context.Background(), fx.product); err != nil {
+				if _, err := coldDPOC(b, fx.ps, fx.kv).Prove(context.Background(), fx.product); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -438,7 +455,7 @@ func BenchmarkA4CHLMRProofGen(b *testing.B) {
 	}
 }
 
-// --- A1: proof generation flat across database sizes ---
+// --- A1: proof generation flat across database sizes, on a cold prover ---
 
 func BenchmarkA1ProofGenByDBSize(b *testing.B) {
 	ps, err := poc.PSGen(zkedb.TestParams())
@@ -451,14 +468,14 @@ func BenchmarkA1ProofGenByDBSize(b *testing.B) {
 			for i := range traces {
 				traces[i] = poc.Trace{Product: poc.ProductID(fmt.Sprintf("t-%d", i)), Data: []byte("d")}
 			}
-			_, dpoc, err := poc.Agg(ps, "vB", traces, poc.AggOptions{ProofCacheSize: -1})
-			if err != nil {
+			kv := store.NewMem()
+			if _, _, err := poc.Agg(ps, "vB", traces, poc.AggOptions{Commit: zkedb.CommitOptions{Store: kv}}); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dpoc.Prove(context.Background(), traces[i%n].Product); err != nil {
+				if _, err := coldDPOC(b, ps, kv).Prove(context.Background(), traces[i%n].Product); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -466,13 +483,17 @@ func BenchmarkA1ProofGenByDBSize(b *testing.B) {
 	}
 }
 
-// --- Proof cache: cold vs warm ownership proofs ---
+// --- Proof cache and witness memo: cold vs memo vs warm ownership proofs ---
 
-// BenchmarkProve measures proof generation with the DPOC proof cache out of
-// the loop (cold: every call recomputes the mercurial openings) and in the
-// loop (warm: repeats are served from the single-flight LRU). The warm path
-// is expected to be orders of magnitude faster — the gap is the win the
-// cache buys a participant answering repeated demands for a hot product.
+// BenchmarkProve measures one ownership proof three ways: cold (a
+// restarted participant: no proof cache, no witness memo, every call
+// computes each level's RSA witness), memo (the proof cache off, the tree
+// nodes' witness memos warm from an earlier proof, so a call recomputes the
+// openings around the stored witnesses) and warm (repeats are served from
+// the single-flight proof cache). Each step is expected to be much faster
+// than the one before: the gaps are what the memo buys a participant
+// re-proving a product its proof cache evicted, and what the cache buys one
+// answering repeated demands for a hot product.
 func BenchmarkProve(b *testing.B) {
 	ps, err := poc.PSGen(zkedb.TestParams())
 	if err != nil {
@@ -481,8 +502,25 @@ func BenchmarkProve(b *testing.B) {
 	traces := []poc.Trace{{Product: "hot-product", Data: []byte("hot trace")}}
 
 	b.Run("cold", func(b *testing.B) {
+		kv := store.NewMem()
+		if _, _, err := poc.Agg(ps, "vB", traces, poc.AggOptions{Commit: zkedb.CommitOptions{Store: kv}}); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := coldDPOC(b, ps, kv).Prove(context.Background(), "hot-product"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("memo", func(b *testing.B) {
 		_, dpoc, err := poc.Agg(ps, "vB", traces, poc.AggOptions{ProofCacheSize: -1})
 		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dpoc.Prove(context.Background(), "hot-product"); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()

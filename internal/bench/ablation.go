@@ -7,6 +7,7 @@ import (
 	"desword/internal/chlmr"
 	"desword/internal/poc"
 	"desword/internal/zkedb"
+	"desword/internal/zkedb/store"
 )
 
 // This file holds ablation experiments for the design choices DESIGN.md §3
@@ -40,9 +41,10 @@ func RunAblationDBSize(params zkedb.Params, sizes []int, reps int) (*Table, erro
 		}
 		var cred poc.POC
 		var dpoc *poc.DPOC
+		kv := store.NewMem()
 		commit := Measure(1, func() {
 			var aerr error
-			cred, dpoc, aerr = poc.Agg(ps, "vA", traces, poc.AggOptions{ProofCacheSize: -1})
+			cred, dpoc, aerr = poc.Agg(ps, "vA", traces, poc.AggOptions{Commit: zkedb.CommitOptions{Store: kv}})
 			if aerr != nil {
 				panic(aerr)
 			}
@@ -52,11 +54,10 @@ func RunAblationDBSize(params zkedb.Params, sizes []int, reps int) (*Table, erro
 		if err != nil {
 			return nil, err
 		}
-		gen := Measure(reps, func() {
-			if _, err := dpoc.Prove(context.Background(), target); err != nil {
-				panic(err)
-			}
-		})
+		gen, err := coldProve(ps, kv, target, reps)
+		if err != nil {
+			return nil, err
+		}
 		verify := Measure(reps, func() {
 			if _, err := poc.Verify(context.Background(), ps, cred, target, proof); err != nil {
 				panic(err)
@@ -96,11 +97,10 @@ func RunAblationModulus(q, h int, moduli []int, reps int) (*Table, error) {
 				panic(err)
 			}
 		})
-		gen := Measure(reps, func() {
-			if _, err := fx.dpoc.Prove(context.Background(), fx.present); err != nil {
-				panic(err)
-			}
-		})
+		gen, err := coldProve(fx.ps, fx.kv, fx.present, reps)
+		if err != nil {
+			return nil, err
+		}
 		verify := Measure(reps, func() {
 			if _, err := poc.Verify(context.Background(), fx.ps, fx.cred, fx.present, proof); err != nil {
 				panic(err)
@@ -209,11 +209,10 @@ func RunAblationTreeScheme(rows []QH, modulusBits int, reps int) (*Table, error)
 		if err != nil {
 			return nil, err
 		}
-		qGen := Measure(reps, func() {
-			if _, err := fx.dpoc.Prove(context.Background(), fx.present); err != nil {
-				panic(err)
-			}
-		})
+		qGen, err := coldProve(fx.ps, fx.kv, fx.present, reps)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(fmt.Sprint(qh.Q), fmt.Sprint(qh.H),
 			KB(plainProof.Size()), KB(qSize), Ms(plainGen), Ms(qGen))
 	}

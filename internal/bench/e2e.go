@@ -19,7 +19,8 @@ import (
 // full path queries through proxy and participant servers. Every measured
 // query asks about a product no earlier query touched, so each hop proves
 // and verifies afresh: the participants' proof caches and the proxy's
-// verify memo never answer.
+// verify memo never answer. Only a participant's witness memo can, for the
+// upper tree levels a product shares with one proven before it.
 func RunE2E(params zkedb.Params, lengths []int, reps int) (*Table, error) {
 	reps = max(reps, 1)
 	t := &Table{

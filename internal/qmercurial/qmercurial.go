@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 
 	"desword/internal/mercurial"
 	"desword/internal/rsavc"
@@ -60,6 +61,25 @@ type HardDecommit struct {
 	Hiding   *big.Int
 	V        *big.Int
 	MCDec    mercurial.HardDecommit
+
+	// witnesses is the witness memo Memoized attaches: slot i's RSA witness
+	// once an opening of slot i has computed it. Copies of the decommitment
+	// share it. Without one, every opening computes its witness afresh.
+	witnesses []atomic.Pointer[big.Int]
+}
+
+// Memoized returns dec with an empty witness memo attached. The first HOpen
+// or SOpenHard of a slot through the result, or through any copy of it,
+// computes the slot's RSA witness and keeps it; every later opening of the
+// slot reuses it. The witness is a deterministic function of the
+// decommitment, so a memoized opening is exactly the one a recomputation
+// would return; its Witness.Lambda is shared between openings, as V and the
+// slot message already are, and must not be modified. The decommitment must
+// not change once memoized. Concurrent openings are safe: two racing first
+// openings of a slot compute the same witness, and either store wins.
+func (dec HardDecommit) Memoized() HardDecommit {
+	dec.witnesses = make([]atomic.Pointer[big.Int], len(dec.Messages))
+	return dec
 }
 
 // SoftDecommit is the committer's secret state for a soft q-commitment.
@@ -155,12 +175,27 @@ func (pk *PublicKey) SComFrom(rnd io.Reader) (Commitment, SoftDecommit) {
 	return Commitment{MC: mc}, SoftDecommit{MCDec: mcDec}
 }
 
+// witness returns the RSA witness opening slot i of dec, from dec's witness
+// memo when it holds one. i must lie in [0, q).
+func (pk *PublicKey) witness(dec HardDecommit, i int) (rsavc.Witness, error) {
+	if i < len(dec.witnesses) {
+		if lambda := dec.witnesses[i].Load(); lambda != nil {
+			return rsavc.Witness{Lambda: lambda}, nil
+		}
+	}
+	w, err := pk.VC.Open(dec.Messages, dec.Hiding, i)
+	if err == nil && i < len(dec.witnesses) {
+		dec.witnesses[i].Store(w.Lambda)
+	}
+	return w, err
+}
+
 // HOpen hard-opens slot i of a hard q-commitment.
 func (pk *PublicKey) HOpen(dec HardDecommit, i int) (HardOpening, error) {
 	if i < 0 || i >= pk.VC.Q {
 		return HardOpening{}, ErrSlotOutOfRange
 	}
-	w, err := pk.VC.Open(dec.Messages, dec.Hiding, i)
+	w, err := pk.witness(dec, i)
 	if err != nil {
 		return HardOpening{}, err
 	}
@@ -179,7 +214,7 @@ func (pk *PublicKey) SOpenHard(dec HardDecommit, i int) (SoftOpening, error) {
 	if i < 0 || i >= pk.VC.Q {
 		return SoftOpening{}, ErrSlotOutOfRange
 	}
-	w, err := pk.VC.Open(dec.Messages, dec.Hiding, i)
+	w, err := pk.witness(dec, i)
 	if err != nil {
 		return SoftOpening{}, err
 	}

@@ -259,3 +259,51 @@ func TestCommitmentConstantSize(t *testing.T) {
 		t.Fatal("hard and soft commitments must be indistinguishable in size")
 	}
 }
+
+// TestMemoizedOpeningsReuseWitness pins the witness memo: a memoized
+// decommitment opens every slot, hard and soft, with exactly the witness a
+// plain one computes; once a slot has been opened, later openings of it
+// through any copy of the decommitment compute nothing (they allocate
+// nothing, where rsavc.Open allocates), while a decommitment straight from
+// HCom keeps computing every opening.
+func TestMemoizedOpeningsReuseWitness(t *testing.T) {
+	pk := testKey(t)
+	c, plain, err := pk.HCom(testVector(pk, "memo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := plain.Memoized()
+	for i := 0; i < pk.Q(); i++ {
+		want, err := pk.HOpen(plain, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hard, err := pk.HOpen(memo, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hard.Witness.Lambda.Cmp(want.Witness.Lambda) != 0 {
+			t.Fatalf("slot %d: memoized witness differs from a recomputed one", i)
+		}
+		cp := memo
+		soft, err := pk.SOpenHard(cp, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if soft.Witness.Lambda != hard.Witness.Lambda {
+			t.Fatalf("slot %d: a copy of the decommitment does not share its memo", i)
+		}
+		if !pk.VerHOpen(c, hard) || !pk.VerSOpen(c, soft) {
+			t.Fatalf("slot %d: memoized openings must verify", i)
+		}
+		if n := testing.AllocsPerRun(5, func() { _, _ = pk.HOpen(memo, i) }); n != 0 {
+			t.Errorf("slot %d: repeat HOpen allocates %v times, want 0 (no rsavc.Open)", i, n)
+		}
+		if n := testing.AllocsPerRun(5, func() { _, _ = pk.SOpenHard(memo, i) }); n != 0 {
+			t.Errorf("slot %d: repeat SOpenHard allocates %v times, want 0 (no rsavc.Open)", i, n)
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() { _, _ = pk.HOpen(plain, 0) }); n == 0 {
+		t.Error("an HOpen of a decommitment from HCom must compute its witness")
+	}
+}

@@ -235,10 +235,10 @@ func (p *Params) Open(ms []*big.Int, r *big.Int, i int) (Witness, error) {
 	if r.Sign() < 0 {
 		return Witness{}, ErrNegativeHiding
 	}
-	// Exponent (rP + Σ_{j≠i} m_j·P/e_j) / e_i, which is integral because e_i
-	// divides every remaining term.
-	exp := new(big.Int).Mul(r, p.prodDiv[i])
-	div := new(big.Int)
+	// Exponent (rP + Σ_{j≠i} m_j·P/e_j) / e_i. Every term of the sum is a
+	// multiple of e_i, so one exact division of the sum replaces a quotient
+	// per slot.
+	exp := new(big.Int).Mul(r, p.prodPrimes)
 	term := new(big.Int)
 	for j, m := range ms {
 		if j == i {
@@ -247,10 +247,10 @@ func (p *Params) Open(ms []*big.Int, r *big.Int, i int) (Witness, error) {
 		if err := p.checkMessage(m); err != nil {
 			return Witness{}, fmt.Errorf("slot %d: %w", j, err)
 		}
-		div.Quo(p.prodDiv[i], p.Primes[j])
-		term.Mul(m, div)
+		term.Mul(m, p.prodDiv[j])
 		exp.Add(exp, term)
 	}
+	exp.Quo(exp, p.Primes[i])
 	return Witness{Lambda: p.g.exp(exp)}, nil
 }
 

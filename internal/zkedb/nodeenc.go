@@ -196,6 +196,7 @@ func decodeNodeRecord(data []byte, params Params) (*node, error) {
 		if n.qDec.MCDec.R1, err = d.readBigInt(); err != nil {
 			return nil, fmt.Errorf("%w: node decommit: %w", ErrBadState, err)
 		}
+		n.qDec = n.qDec.Memoized()
 	default:
 		return nil, fmt.Errorf("%w: node kind %d", ErrBadState, kind)
 	}

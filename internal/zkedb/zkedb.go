@@ -33,6 +33,11 @@
 // committed tree never changes: a new database is a new Commit. Beyond the
 // paper, the tree lives in a pluggable node store (package zkedb/store) with
 // lazy hydration, so a database is no longer bounded by RAM (DESIGN.md §13).
+// Because the tree never changes, each hydrated internal node also keeps the
+// RSA witness of every slot it has opened (qmercurial's witness memo), so
+// re-proving a key, or any key sharing upper levels with one proven before,
+// skips those exponentiations and yields the same proof bytes (DESIGN.md
+// §10).
 package zkedb
 
 import (
@@ -223,11 +228,12 @@ func (c *CRS) absentMessage(key string) *big.Int {
 }
 
 // node is a hydrated tree node. Internal nodes (level < H) carry a hard
-// q-mercurial commitment and the sorted list of occupied child slots; the
-// leaf level (level == H) carries a hard mercurial commitment to the
-// key/value. Children are NOT held by pointer: the prover resolves them by
-// tree position through the node store, hydrating lazily during proofs.
-// Nodes are immutable once built.
+// q-mercurial commitment, with a witness memo attached to its
+// decommitment, and the sorted list of occupied child slots; the leaf level
+// (level == H) carries a hard mercurial commitment to the key/value.
+// Children are NOT held by pointer: the prover resolves them by tree
+// position through the node store, hydrating lazily during proofs. Nodes
+// are immutable once built; only the memo fills in.
 type node struct {
 	level int
 	leaf  bool
@@ -276,8 +282,13 @@ type cacheSlot struct {
 // Decommitment is the prover's secret state (the paper's Dec / DE-Sword's
 // DPOC): the committed tree and database, resident in a pluggable node
 // store, plus a bounded cache of hydrated nodes and position-pinned soft
-// commitments. Safe for concurrent Prove calls: the committed tree never
-// changes, so only the cache and lazily created soft entries need a lock.
+// commitments. Each hydrated internal node memoizes the RSA witnesses of
+// the slots it has opened; the memo leaves the cache with its node, and
+// the pinned root keeps its own for the decommitment's life. The memo is
+// never encoded, so proving a committed key writes nothing. Safe for
+// concurrent Prove calls: the committed tree never changes, so only the
+// cache and lazily created soft entries need a lock, and a memo entry is
+// stored atomically.
 type Decommitment struct {
 	crs  *CRS
 	kv   store.KV
@@ -521,7 +532,7 @@ func (b *builder) build(level int, prefix []int, items []keyItem) (*node, error)
 		return nil, fmt.Errorf("zkedb: committing node at level %d: %w", level, err)
 	}
 	n.qCom = qCom
-	n.qDec = qDec
+	n.qDec = qDec.Memoized()
 	if err := b.dec.putNode(prefixKey(prefix), n); err != nil {
 		return nil, err
 	}
