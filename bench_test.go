@@ -68,14 +68,14 @@ type macroFixture struct {
 	product poc.ProductID
 }
 
-// coldDPOC reopens the DPOC committed into kv with its proof cache off, the
-// state of a restarted participant: no cached proof and no tree node's
-// witness memo is warm. The reopen is not timed.
+// coldDPOC reopens the DPOC committed into kv, the state of a restarted
+// participant: its proof cache is empty and no tree node's witness memo is
+// warm. The reopen is not timed.
 func coldDPOC(b *testing.B, ps *poc.PublicParams, kv store.KV) *poc.DPOC {
 	b.Helper()
 	b.StopTimer()
 	defer b.StartTimer()
-	_, dpoc, err := poc.OpenDPOC(ps, "vB", kv, 0, -1)
+	_, dpoc, err := poc.OpenDPOC(ps, "vB", kv, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -486,14 +486,15 @@ func BenchmarkA1ProofGenByDBSize(b *testing.B) {
 // --- Proof cache and witness memo: cold vs memo vs warm ownership proofs ---
 
 // BenchmarkProve measures one ownership proof three ways: cold (a
-// restarted participant: no proof cache, no witness memo, every call
-// computes each level's RSA witness), memo (the proof cache off, the tree
-// nodes' witness memos warm from an earlier proof, so a call recomputes the
-// openings around the stored witnesses) and warm (repeats are served from
-// the single-flight proof cache). Each step is expected to be much faster
-// than the one before: the gaps are what the memo buys a participant
-// re-proving a product its proof cache evicted, and what the cache buys one
-// answering repeated demands for a hot product.
+// restarted participant: empty proof cache, no witness memo, every call
+// computes each level's RSA witness), memo (a proof-cache miss on a tree
+// whose nodes' witness memos are warm from an earlier proof: zkedb's Prove
+// recomputes the openings around the stored witnesses, then MarshalBinary
+// encodes the proof, as DPOC.Prove does on a miss) and warm (repeats are
+// served from the single-flight proof cache). Each step is expected to be
+// much faster than the one before: the gaps are what the memo buys a
+// participant re-proving a product its proof cache evicted, and what the
+// cache buys one answering repeated demands for a hot product.
 func BenchmarkProve(b *testing.B) {
 	ps, err := poc.PSGen(zkedb.TestParams())
 	if err != nil {
@@ -516,17 +517,21 @@ func BenchmarkProve(b *testing.B) {
 	})
 
 	b.Run("memo", func(b *testing.B) {
-		_, dpoc, err := poc.Agg(ps, "vB", traces, poc.AggOptions{ProofCacheSize: -1})
+		_, dec, err := ps.CRS.Commit(map[string][]byte{"hot-product": []byte("hot trace")}, zkedb.CommitOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := dpoc.Prove(context.Background(), "hot-product"); err != nil {
+		if _, err := dec.Prove(context.Background(), "hot-product"); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := dpoc.Prove(context.Background(), "hot-product"); err != nil {
+			proof, err := dec.Prove(context.Background(), "hot-product")
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := proof.MarshalBinary(); err != nil {
 				b.Fatal(err)
 			}
 		}

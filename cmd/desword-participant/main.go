@@ -81,7 +81,6 @@ func run() error {
 		task      = flag.String("task", "", "task id (assemble mode)")
 		pairs     = flag.String("pairs", "", "JSON POC-pair file (assemble mode)")
 		pocs      = flag.String("pocs", "", "comma-separated POC files (assemble mode)")
-		sample    = flag.Float64("trace-sample", 0, "fraction of locally-rooted traces to sample in [0,1]; remote-parented requests are always traced when the caller traces them")
 		logCfg    obs.LogConfig
 		clientCfg node.ClientConfig
 		cryptoCfg core.CryptoConfig
@@ -97,8 +96,9 @@ func run() error {
 		return err
 	}
 	obs.RegisterProcessMetrics(obs.Default)
+	// A participant never roots a trace: its server continues the caller's
+	// trace when a request carries one.
 	trace.Default.SetService("participant:" + *id)
-	trace.Default.SetSampleRate(*sample)
 	if *assemble {
 		return runAssemble(logger, *proxyAddr, *task, *pairs, *pocs, clientCfg)
 	}

@@ -56,12 +56,10 @@ func run() error {
 		sample  = flag.Float64("trace-sample", 0, "fraction of path queries to trace in [0,1]; traces appear under /debug/traces on the admin listener")
 		workers = flag.Int("admission-workers", 0, "concurrently admitted requests at the proxy front door (0 = gate disabled)")
 		queue   = flag.Int("admission-queue", 0, "requests waiting for an admission slot (negative = none, 0 = 2x workers)")
-		pxCfg   core.ProxyConfig
 		logCfg  obs.LogConfig
 		tcfg    node.ClientConfig
 		evCfg   events.Config
 	)
-	pxCfg.RegisterFlags(flag.CommandLine)
 	logCfg.RegisterFlags(flag.CommandLine)
 	tcfg.RegisterFlags(flag.CommandLine)
 	evCfg.RegisterFlags(flag.CommandLine)
@@ -125,8 +123,7 @@ func run() error {
 		logger.Info("admin listener up", "addr", adminSrv.Addr())
 	}
 
-	pxCfg.EventSink = sink
-	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), directory.Resolver(), pxCfg)
+	proxy := core.NewProxyWithConfig(ps, reputation.DefaultStrategy(), directory.Resolver(), core.ProxyConfig{EventSink: sink})
 	srvOpts := []node.Option{node.WithTimeout(tcfg.Timeout), node.WithEventSink(sink)}
 	if *workers > 0 || *queue != 0 {
 		srvOpts = append(srvOpts, node.WithAdmission(*workers, *queue))

@@ -6,7 +6,7 @@
 // hash chain before returning it), replays the scores independently — and
 // then demonstrates that a doctored history is caught.
 //
-//	go run ./examples/audit [-timeout 5s] [-retries 2]
+//	go run ./examples/audit [-timeout 5s] [-pool-size 4]
 package main
 
 import (
@@ -23,7 +23,7 @@ import (
 	"desword/internal/zkedb"
 )
 
-// clientCfg carries the shared transport flags (-timeout, -retries, ...) so
+// clientCfg carries the shared transport flags (-timeout, -pool-size) so
 // the example's client is tuned the same way the cmd binaries are.
 var clientCfg node.ClientConfig
 

@@ -8,7 +8,7 @@
 // localhost, exchanging the same wire messages a distributed deployment
 // would.
 //
-//	go run ./examples/recall [-timeout 5s] [-retries 2]
+//	go run ./examples/recall [-timeout 5s] [-pool-size 4]
 package main
 
 import (
@@ -27,7 +27,7 @@ import (
 	"desword/internal/zkedb"
 )
 
-// clientCfg carries the shared transport flags (-timeout, -retries, ...) so
+// clientCfg carries the shared transport flags (-timeout, -pool-size) so
 // the example's client is tuned the same way the cmd binaries are.
 var clientCfg node.ClientConfig
 

@@ -56,14 +56,14 @@ func newMacroFixture(qh QH, modulusBits, dbSize int) (*macroFixture, error) {
 }
 
 // coldProve times proofs of id by a cold prover, the mean over reps: each
-// proof runs on a DPOC reopened from kv with the proof cache off, the state
-// of a restarted participant, so neither a cached proof nor a tree node's
-// witness memo answers it. The reopen itself is not timed.
+// proof runs on a DPOC freshly reopened from kv, the state of a restarted
+// participant, whose proof cache is empty and whose tree nodes have no
+// witness memo yet, so neither answers it. The reopen itself is not timed.
 func coldProve(ps *poc.PublicParams, kv store.KV, id poc.ProductID, reps int) (time.Duration, error) {
 	reps = max(reps, 1)
 	var total time.Duration
 	for i := 0; i < reps; i++ {
-		_, dpoc, err := poc.OpenDPOC(ps, "cold", kv, 0, -1)
+		_, dpoc, err := poc.OpenDPOC(ps, "cold", kv, 0)
 		if err != nil {
 			return 0, err
 		}

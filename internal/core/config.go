@@ -6,35 +6,18 @@ import (
 	"desword/internal/events"
 )
 
-// ProxyConfig collapses the proxy's construction knobs into one options
-// struct — the proxy counterpart of node.ClientConfig and zkedb.CommitOptions.
-// cmd binaries register it as flags; tests fill it directly. Admission
-// control is not a proxy knob: the proxy server's gate (node.WithAdmission)
-// sheds overload before a request reaches the proxy.
+// ProxyConfig configures a proxy at construction — the proxy counterpart of
+// node.ClientConfig and zkedb.CommitOptions. Tests and binaries fill it
+// directly. Admission control is not a proxy option: the proxy server's
+// gate (node.WithAdmission) sheds overload before a request reaches the
+// proxy.
 type ProxyConfig struct {
-	// ProbeFanout bounds concurrent child probes during a path walk
-	// (1 = serial). 0 selects DefaultProbeFanout.
-	ProbeFanout int
 	// EventSink, when set, receives one canonical wide event per completed
 	// query.
 	EventSink *events.Sink
 }
 
-// withDefaults resolves the zero values into the effective configuration.
-func (c ProxyConfig) withDefaults() ProxyConfig {
-	if c.ProbeFanout <= 0 {
-		c.ProbeFanout = DefaultProbeFanout
-	}
-	return c
-}
-
-// RegisterFlags registers the proxy-tier flags on fs (use flag.CommandLine
-// in main). Zero values keep the package defaults. The event sink is wired
-// by the binary, not a flag.
-func (c *ProxyConfig) RegisterFlags(fs *flag.FlagSet) {
-	if c.ProbeFanout == 0 {
-		c.ProbeFanout = DefaultProbeFanout
-	}
-	fs.IntVar(&c.ProbeFanout, "probe-fanout", c.ProbeFanout,
-		"concurrent child probes during a path walk (1 = serial)")
-}
+// RegisterFlags registers no flag: the event sink is wired by the binary.
+// The method remains for callers that register every config of a daemon on
+// one FlagSet.
+func (*ProxyConfig) RegisterFlags(*flag.FlagSet) {}

@@ -14,16 +14,11 @@ import (
 )
 
 // CryptoConfig is the shared crypto-engine configuration of the cmd
-// binaries: one set of commit/prove/store flags, one translation to
-// aggregation and member options — the crypto counterpart of
-// node.ClientConfig for the transport.
+// binaries: one set of node-store flags, one translation to aggregation and
+// member options — the crypto counterpart of node.ClientConfig for the
+// transport. The commit pool is always GOMAXPROCS wide and every DPOC keeps
+// a poc.DefaultProofCacheSize proof cache.
 type CryptoConfig struct {
-	// CommitWorkers bounds the ZK-EDB commit worker pool. 0 selects one
-	// worker per CPU; 1 forces the serial build.
-	CommitWorkers int
-	// ProofCache bounds the per-task POC proof cache in entries. 0 selects
-	// poc.DefaultProofCacheSize; negative disables caching.
-	ProofCache int
 	// Store selects the node-store backend each task's commitment tree
 	// lives in: "mem" (the default in-process map) or "file" (append-only
 	// log under StoreDir, durable across restarts). Empty means "mem".
@@ -31,10 +26,6 @@ type CryptoConfig struct {
 	// StoreDir is the directory file-backed trees are kept in, one store
 	// file per task. Defaults to "desword-store".
 	StoreDir string
-	// StoreBatch bounds how many staged records a file store accumulates
-	// before auto-committing a batch. 0 selects store.DefaultBatchPuts;
-	// negative commits only on explicit flushes.
-	StoreBatch int
 	// StoreCacheNodes bounds the resident hydrated-node cache per tree.
 	// 0 keeps every node resident (always the case for "mem").
 	StoreCacheNodes int
@@ -43,16 +34,10 @@ type CryptoConfig struct {
 // RegisterFlags registers the crypto flags on fs (use flag.CommandLine in
 // main). Zero values keep the package defaults.
 func (c *CryptoConfig) RegisterFlags(fs *flag.FlagSet) {
-	fs.IntVar(&c.CommitWorkers, "commit-workers", c.CommitWorkers,
-		"ZK-EDB commit worker pool size (0 = one per CPU, 1 = serial)")
-	fs.IntVar(&c.ProofCache, "proof-cache", c.ProofCache,
-		"POC proof cache entries per task (0 = default, negative = disabled)")
 	fs.StringVar(&c.Store, "store", c.Store,
 		`ZK-EDB node store backend: "mem" or "file"`)
 	fs.StringVar(&c.StoreDir, "store-dir", c.StoreDir,
 		"directory for file-backed ZK-EDB stores, one file per task")
-	fs.IntVar(&c.StoreBatch, "store-batch", c.StoreBatch,
-		"staged records per file-store batch before auto-commit (0 = default)")
 	fs.IntVar(&c.StoreCacheNodes, "store-cache-nodes", c.StoreCacheNodes,
 		"resident hydrated tree nodes per task store (0 = unbounded)")
 }
@@ -61,13 +46,7 @@ func (c *CryptoConfig) RegisterFlags(fs *flag.FlagSet) {
 // The node store itself is per task, so it is wired by Member through
 // TaskStores, not here.
 func (c *CryptoConfig) AggOptions() poc.AggOptions {
-	return poc.AggOptions{
-		Commit: zkedb.CommitOptions{
-			Workers:    c.CommitWorkers,
-			CacheNodes: c.StoreCacheNodes,
-		},
-		ProofCacheSize: c.ProofCache,
-	}
+	return poc.AggOptions{Commit: zkedb.CommitOptions{CacheNodes: c.StoreCacheNodes}}
 }
 
 // TaskStores translates the configuration into a per-task store factory:
@@ -81,7 +60,7 @@ func (c *CryptoConfig) TaskStores() (StoreFactory, error) {
 		if dir == "" {
 			dir = "desword-store"
 		}
-		return FileTaskStores(dir, c.StoreBatch), nil
+		return FileTaskStores(dir), nil
 	default:
 		return nil, fmt.Errorf("core: unknown store backend %q (want mem or file)", c.Store)
 	}
@@ -105,7 +84,7 @@ func (c *CryptoConfig) MemberOptions() ([]MemberOption, error) {
 // every secret the participant has). Re-committing a task discards the
 // task's previous file first: a fresh Commit means a fresh tree, and
 // zkedb refuses to commit into a non-empty store.
-func FileTaskStores(dir string, batchPuts int) StoreFactory {
+func FileTaskStores(dir string) StoreFactory {
 	return func(taskID string) (store.KV, error) {
 		if err := os.MkdirAll(dir, 0o700); err != nil {
 			return nil, fmt.Errorf("core: creating store dir: %w", err)
@@ -114,7 +93,7 @@ func FileTaskStores(dir string, batchPuts int) StoreFactory {
 		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("core: clearing previous store: %w", err)
 		}
-		kv, err := store.OpenFile(path, store.FileOptions{BatchPuts: batchPuts})
+		kv, err := store.OpenFile(path, store.FileOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("core: opening task store: %w", err)
 		}

@@ -42,10 +42,9 @@ type memberTask struct {
 // MemberOption customizes a Member at construction time.
 type MemberOption func(*Member)
 
-// WithAggOptions sets the POC aggregation options every CommitTask uses:
-// the commit worker-pool width and the proof-cache size. The zero value of
-// poc.AggOptions (the default) selects a GOMAXPROCS-wide pool and a
-// default-sized cache.
+// WithAggOptions sets the POC aggregation options every CommitTask uses
+// (the tree's resident-node bound). The zero value of poc.AggOptions is the
+// default.
 func WithAggOptions(opts poc.AggOptions) MemberOption {
 	return func(m *Member) { m.agg = opts }
 }

@@ -23,7 +23,6 @@ import (
 //
 // Concurrent queries for the same product coalesce onto one walk.
 type Proxy struct {
-	cfg      ProxyConfig
 	ps       *poc.PublicParams
 	strategy reputation.Strategy
 	resolve  Resolver
@@ -50,10 +49,6 @@ type Proxy struct {
 // 310 bytes resident, so a full memo holds about 1.2 MiB (DESIGN §10).
 const verifyMemoKeys = 4096
 
-// DefaultProbeFanout bounds how many children are probed concurrently when a
-// walk loses the named next hop.
-const DefaultProbeFanout = 4
-
 // queueEntry is one element of an initial participant's POC-queue: the pair
 // (ps, POC_v̄) of §IV.D, tagged with the task whose list contains it.
 type queueEntry struct {
@@ -65,13 +60,11 @@ type queueEntry struct {
 // supplies reachable endpoints for participants; the strategy configures the
 // double-edged award.
 func NewProxyWithConfig(ps *poc.PublicParams, strategy reputation.Strategy, resolve Resolver, cfg ProxyConfig) *Proxy {
-	resolved := cfg.withDefaults()
 	return &Proxy{
-		cfg:      resolved,
 		ps:       ps,
 		strategy: strategy,
 		resolve:  resolve,
-		events:   resolved.EventSink,
+		events:   cfg.EventSink,
 		lists:    make(map[string]*poc.List),
 		queues:   make(map[poc.ParticipantID][]queueEntry),
 		flights:  make(map[flightKey]*pathFlight),
@@ -273,15 +266,8 @@ func (px *Proxy) findStart(ctx context.Context, id poc.ProductID, quality Qualit
 
 	for _, initial := range initials {
 		for _, entry := range queues[initial] {
-			outcome := px.identify(ctx, entry.taskID, entry.credential, initial, id, quality)
-			result.hops = append(result.hops, outcome.hop)
-			result.Violations = append(result.Violations, outcome.violations...)
-			if outcome.hop.Identified {
-				if outcome.trace != nil {
-					result.Traces[initial] = *outcome.trace
-				}
-				result.Path = append(result.Path, initial)
-				return initial, entry, outcome.next
+			if identified, next := px.interrogate(ctx, result, entry.taskID, entry.credential, initial, id, quality); identified {
+				return initial, entry, next
 			}
 		}
 	}
@@ -301,11 +287,8 @@ type identifyOutcome struct {
 // identify runs one query interaction (§IV.C step 1–2) with participant v
 // under its POC for the given task, as one "hop.identify" stage whose
 // elapsed time is the hop's IdentifyUS. Proofs are verified through the
-// proxy's verified-proof memo.
-//
-// The callers commit the hop to the result, not identify: speculative child
-// probes whose outcome is discarded (see probeChildren) must leave no trace
-// on the result or its event.
+// proxy's verified-proof memo. Its callers go through interrogate, which
+// records the outcome on the query's result.
 func (px *Proxy) identify(ctx context.Context, taskID string, credential poc.POC, v poc.ParticipantID, id poc.ProductID, quality Quality) (outcome identifyOutcome) {
 	ctx, stage := obs.StartStage(ctx, "hop.identify",
 		trace.String("participant", string(v)), trace.String("task", taskID))
@@ -340,6 +323,26 @@ func (px *Proxy) identify(ctx context.Context, taskID string, credential poc.POC
 	}
 	outcome.hop.ProveUS = proveUS
 	return outcome
+}
+
+// interrogate runs one query interaction with participant v and records it
+// on the result: the hop and its violations always, and v onto the path,
+// with its recovered trace, when the interaction identified v. It reports
+// whether v was identified and the next hop v named. Every participant a
+// walk queries passes through here, so the wide event records each query
+// interaction the proxy sent.
+func (px *Proxy) interrogate(ctx context.Context, result *Result, taskID string, credential poc.POC, v poc.ParticipantID, id poc.ProductID, quality Quality) (bool, poc.ParticipantID) {
+	outcome := px.identify(ctx, taskID, credential, v, id, quality)
+	result.hops = append(result.hops, outcome.hop)
+	result.Violations = append(result.Violations, outcome.violations...)
+	if !outcome.hop.Identified {
+		return false, ""
+	}
+	result.Path = append(result.Path, v)
+	if outcome.trace != nil {
+		result.Traces[v] = *outcome.trace
+	}
+	return true, outcome.next
 }
 
 // verifyTimed is the memoized POC-Verify, adding its time to the hop's
@@ -477,10 +480,8 @@ func (px *Proxy) walk(ctx context.Context, list *poc.List, taskID string, start,
 			continue
 		}
 		visited[next] = true
-		outcome := px.identify(ctx, taskID, credential, next, id, quality)
-		result.hops = append(result.hops, outcome.hop)
-		result.Violations = append(result.Violations, outcome.violations...)
-		if !outcome.hop.Identified {
+		identified, named := px.interrogate(ctx, result, taskID, credential, next, id, quality)
+		if !identified {
 			// §III.B "wrong participant", case 1: the named next provably
 			// did not process the product.
 			result.Violations = append(result.Violations, Violation{
@@ -490,34 +491,16 @@ func (px *Proxy) walk(ctx context.Context, list *poc.List, taskID string, start,
 			next = ""
 			continue
 		}
-		result.Path = append(result.Path, next)
-		if outcome.trace != nil {
-			result.Traces[next] = *outcome.trace
-		}
-		cur = next
-		next = outcome.next
+		cur, next = next, named
 	}
 }
 
-// probeChildren asks each recorded child of cur (not yet visited) whether it
-// processed the product, returning the first identified child and that
-// child's claimed next hop.
-//
-// Probes run speculatively with a bounded fan-out (ProxyConfig.ProbeFanout),
-// but the outcome is committed strictly in list order, so the result is
-// identical to the serial walk at any fan-out: the first identified child in
-// list order wins; violations land in stable order; probes launched past the
-// winner are cancelled and their outcomes discarded entirely — not marked
-// visited, not counted, not recorded — exactly as if they had never been
-// interrogated. Speculation is safe because the probe interaction is
-// read-only on the participant side (query and, in the bad case, the
-// ownership demand both answer from the committed DPOC).
+// probeChildren asks the recorded children of cur that the walk has not
+// visited, one at a time in POC-list order, whether they processed the
+// product. It returns the first identified child and the next hop that
+// child named, or "" when no child is identified. Each probe is a recorded
+// query interaction, so the walk queries exactly the hops its result lists.
 func (px *Proxy) probeChildren(ctx context.Context, list *poc.List, taskID string, cur poc.ParticipantID, id poc.ProductID, quality Quality, visited map[poc.ParticipantID]bool, result *Result) (poc.ParticipantID, poc.ParticipantID) {
-	type candidate struct {
-		child      poc.ParticipantID
-		credential poc.POC
-	}
-	var cands []candidate
 	for _, child := range list.Children(cur) {
 		if visited[child] {
 			continue
@@ -526,51 +509,8 @@ func (px *Proxy) probeChildren(ctx context.Context, list *poc.List, taskID strin
 		if err != nil {
 			continue
 		}
-		cands = append(cands, candidate{child: child, credential: credential})
-	}
-
-	commit := func(c candidate, outcome identifyOutcome) (poc.ParticipantID, poc.ParticipantID, bool) {
-		visited[c.child] = true
-		result.hops = append(result.hops, outcome.hop)
-		result.Violations = append(result.Violations, outcome.violations...)
-		if !outcome.hop.Identified {
-			return "", "", false
-		}
-		result.Path = append(result.Path, c.child)
-		if outcome.trace != nil {
-			result.Traces[c.child] = *outcome.trace
-		}
-		return c.child, outcome.next, true
-	}
-
-	if px.cfg.ProbeFanout <= 1 || len(cands) <= 1 {
-		for _, c := range cands {
-			outcome := px.identify(ctx, taskID, c.credential, c.child, id, quality)
-			if child, next, ok := commit(c, outcome); ok {
-				return child, next
-			}
-		}
-		return "", ""
-	}
-
-	probeCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sem := make(chan struct{}, px.cfg.ProbeFanout)
-	outcomes := make([]chan identifyOutcome, len(cands))
-	for i := range cands {
-		outcomes[i] = make(chan identifyOutcome, 1)
-		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			outcomes[i] <- px.identify(probeCtx, taskID, cands[i].credential, cands[i].child, id, quality)
-		}(i)
-	}
-	for i, c := range cands {
-		outcome := <-outcomes[i]
-		if child, next, ok := commit(c, outcome); ok {
-			// Later probes are cancelled and never read: their outcomes are
-			// discarded, matching the serial walk, which would not have
-			// interrogated them.
+		visited[child] = true
+		if identified, next := px.interrogate(ctx, result, taskID, credential, child, id, quality); identified {
 			return child, next
 		}
 	}

@@ -20,7 +20,7 @@ func TestMemberFileTaskStores(t *testing.T) {
 	ps := corePS(t)
 	dir := t.TempDir()
 	m := NewMember(ps, supplychain.NewParticipant("v1"),
-		WithTaskStores(FileTaskStores(dir, 0)))
+		WithTaskStores(FileTaskStores(dir)))
 	if err := m.Participant().RecordTrace(poc.Trace{Product: "id-1", Data: []byte("op=process")}); err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,8 @@ const (
 
 // Errors reported by the core protocol.
 var (
-	ErrUnknownTask       = errors.New("core: unknown distribution task")
 	ErrNotCommitted      = errors.New("core: participant has not committed this task")
 	ErrNoResponder       = errors.New("core: no responder for participant")
-	ErrNoStart           = errors.New("core: no initial participant admits processing the product")
 	ErrAlreadyRegistered = errors.New("core: task already registered")
 )
 
@@ -171,7 +169,7 @@ type Result struct {
 	// configured), and carried across the wire to remote queriers.
 	Event *events.Event
 
-	// hops accumulates the committed query interactions in walk order;
+	// hops records every query interaction of the walk in order;
 	// queryEvent copies them onto Event.
 	hops []events.Hop
 	// repDeltas is filled by settle: the net score change per affected

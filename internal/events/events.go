@@ -71,13 +71,13 @@ const (
 	OutcomeLoadShed Outcome = "load_shed"
 )
 
-// Hop is one committed proxy↔participant query interaction. Timings are
-// microseconds of proxy-side wall clock: IdentifyUS covers the whole
-// interaction, ProveUS the query round trip (dominated by the participant's
-// proof generation), VerifyUS the proxy-side proof verification, and
-// DemandUS the ownership-demand round trip of the bad-product case.
-// Speculative child probes whose outcome was discarded (probe fan-out) do
-// not appear — the hop list matches the serial walk exactly.
+// Hop is one proxy↔participant query interaction. Timings are microseconds
+// of proxy-side wall clock: IdentifyUS covers the whole interaction,
+// ProveUS the query round trip (dominated by the participant's proof
+// generation), VerifyUS the proxy-side proof verification, and DemandUS the
+// ownership-demand round trip of the bad-product case. The walk records
+// every interaction it sends, so the hop list names each participant the
+// proxy queried, once per query.
 type Hop struct {
 	Participant string `json:"participant"`
 	Identified  bool   `json:"identified"`

@@ -46,12 +46,8 @@ type options struct {
 	admissionQueue   int
 
 	// Pooled-transport tunables (clients only).
-	poolSize      int
-	idleTimeout   time.Duration
-	retries       int
-	backoff       time.Duration
-	failThreshold int
-	cooldown      time.Duration
+	poolSize int
+	retries  int
 }
 
 // Option configures a client or server.
@@ -111,18 +107,6 @@ func WithPoolSize(n int) Option {
 	}
 }
 
-// WithIdleTimeout sets how long a pooled connection may sit idle before it
-// is reaped instead of reused. Keep it below the server-side timeout, or
-// reuse will mostly find connections the server already closed.
-// Non-positive values keep the default.
-func WithIdleTimeout(d time.Duration) Option {
-	return func(o *options) {
-		if d > 0 {
-			o.idleTimeout = d
-		}
-	}
-}
-
 // WithRetries sets how many times a failed exchange is retried after the
 // first attempt (0 disables retries). Negative values keep the default.
 func WithRetries(n int) Option {
@@ -133,46 +117,12 @@ func WithRetries(n int) Option {
 	}
 }
 
-// WithRetryBackoff sets the sleep before the first retry; it doubles per
-// attempt. Non-positive values keep the default.
-func WithRetryBackoff(d time.Duration) Option {
-	return func(o *options) {
-		if d > 0 {
-			o.backoff = d
-		}
-	}
-}
-
-// WithFailThreshold sets how many consecutive transport failures mark an
-// endpoint down (fail-fast). Non-positive values keep the default.
-func WithFailThreshold(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.failThreshold = n
-		}
-	}
-}
-
-// WithCooldown sets how long a down endpoint fails fast before the next
-// real dial is attempted. Non-positive values keep the default.
-func WithCooldown(d time.Duration) Option {
-	return func(o *options) {
-		if d > 0 {
-			o.cooldown = d
-		}
-	}
-}
-
 func applyOptions(opts []Option) options {
 	o := options{
-		timeout:       DefaultTimeout,
-		drainGrace:    DefaultDrainGrace,
-		poolSize:      DefaultPoolSize,
-		idleTimeout:   DefaultIdleTimeout,
-		retries:       DefaultRetries,
-		backoff:       DefaultRetryBackoff,
-		failThreshold: DefaultFailThreshold,
-		cooldown:      DefaultCooldown,
+		timeout:    DefaultTimeout,
+		drainGrace: DefaultDrainGrace,
+		poolSize:   DefaultPoolSize,
+		retries:    DefaultRetries,
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -386,8 +336,8 @@ func (s *server) serveConn(conn net.Conn, handle func(context.Context, *wire.Env
 			return
 		}
 		// Echo the request id so pooled clients can verify the response
-		// belongs to their request; requests without one (old peers) get
-		// none back.
+		// belongs to their request; a request without a valid one gets none
+		// back, and its client refuses the response.
 		respEnv.ReqID = env.RequestID()
 		// End the handler span before draining so the fragment shipped to
 		// the caller includes it; the local recorder keeps a copy too.

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"desword/internal/adversary"
 	"desword/internal/apps"
@@ -86,7 +85,7 @@ func deploy(t *testing.T, n int, dishonest map[poc.ParticipantID]core.Responder)
 		dir[id] = srv.Addr()
 	}
 
-	resolver := DirectoryResolver(dir, WithRetryBackoff(time.Millisecond))
+	resolver := DirectoryResolver(dir)
 	t.Cleanup(func() {
 		if cerr := resolver.Close(); cerr != nil {
 			t.Errorf("closing resolver pools: %v", cerr)

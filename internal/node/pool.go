@@ -20,8 +20,9 @@ import (
 // paying a fresh TCP dial per request:
 //
 //   - a bounded per-endpoint pool of keep-alive connections with LIFO reuse
-//     and idle reaping (idle connections are dropped before the server's own
-//     read deadline would kill them anyway);
+//     and idle reaping after half the client's timeout (idle connections are
+//     dropped before the server's own read deadline would kill them, as long
+//     as both sides run with the same timeout);
 //   - per-attempt deadlines derived from the caller's context — an earlier
 //     ctx deadline always wins over the flat per-exchange timeout, and every
 //     retry attempt gets a fresh deadline rather than inheriting a stale
@@ -34,35 +35,32 @@ import (
 //     every hop of a path walk.
 //
 // Every request carries a wire req_id header (stable across the retries of
-// one logical request); servers echo it, and a mismatched echo poisons the
-// connection — a reused connection can never hand a caller some other
-// request's response.
+// one logical request); servers echo it, and a missing or mismatched echo
+// poisons the connection — a reused connection can never hand a caller some
+// other request's response.
 
-// Pool tunables. The defaults suit the localhost and LAN deployments the
-// repository targets; the cmd binaries expose them as flags.
+// Pool settings. The defaults suit the localhost and LAN deployments the
+// repository targets; the cmd binaries expose the pool size as a flag, and
+// the timeout (DefaultTimeout, node.go) also sets the idle reap.
 const (
 	// DefaultPoolSize bounds the open connections per endpoint (in-use plus
 	// idle). Requests beyond the bound queue for a free connection.
 	DefaultPoolSize = 4
-	// DefaultIdleTimeout reaps idle pooled connections. It must stay below
-	// the server-side read deadline (DefaultTimeout) or reuse would mostly
-	// find connections the server already closed.
-	DefaultIdleTimeout = 5 * time.Second
 	// DefaultRetries is the number of retry attempts after the first try.
 	DefaultRetries = 2
-	// DefaultRetryBackoff is the sleep before the first retry; it doubles
-	// per attempt, capped at maxRetryBackoff.
-	DefaultRetryBackoff = 50 * time.Millisecond
-	// DefaultFailThreshold is how many consecutive transport failures mark
-	// an endpoint down.
-	DefaultFailThreshold = 3
-	// DefaultCooldown is how long a down endpoint fails fast before the
-	// next real dial is attempted; it doubles per further failure, capped
-	// at maxCooldown.
-	DefaultCooldown = 2 * time.Second
 
+	// retryBackoff is the sleep before the first retry; it doubles per
+	// attempt, capped at maxRetryBackoff.
+	retryBackoff    = 50 * time.Millisecond
 	maxRetryBackoff = 2 * time.Second
-	maxCooldown     = 30 * time.Second
+	// failThreshold is how many consecutive transport failures mark an
+	// endpoint down.
+	failThreshold = 3
+	// cooldown is how long a down endpoint fails fast before the next real
+	// dial is attempted; it doubles per further failure, capped at
+	// maxCooldown.
+	cooldown    = 2 * time.Second
+	maxCooldown = 30 * time.Second
 )
 
 // Errors reported by the pooled transport.
@@ -218,7 +216,7 @@ func (p *Pool) exchangeAttempts(ctx context.Context, span *trace.Span, msgType s
 		}
 		p.retries.Add(1)
 		events.Count(ctx, events.PoolRetry)
-		if !sleepCtx(ctx, backoffDelay(p.o.backoff, attempt)) {
+		if !sleepCtx(ctx, backoffDelay(attempt)) {
 			return nil, fmt.Errorf("node: retrying %s to %s: %w (last error: %w)", msgType, p.addr, ctx.Err(), err)
 		}
 	}
@@ -244,15 +242,8 @@ func retrySafe(msgType string, wrote bool) bool {
 }
 
 // backoffDelay is the exponential backoff before retry number attempt+1.
-func backoffDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	d := base << uint(min(attempt, 10))
-	if d > maxRetryBackoff || d <= 0 {
-		d = maxRetryBackoff
-	}
-	return d
+func backoffDelay(attempt int) time.Duration {
+	return min(retryBackoff<<uint(min(attempt, 10)), maxRetryBackoff)
 }
 
 // sleepCtx sleeps for d unless ctx ends first; it reports whether the full
@@ -303,11 +294,11 @@ func (p *Pool) attempt(ctx context.Context, req *wire.Envelope) (resp *wire.Enve
 		p.noteFailureIfFresh(reused, err)
 		return nil, reused, true, err
 	}
-	if echo := resp.RequestID(); echo != "" && echo != req.ReqID {
-		// The connection handed us some other request's response — it is
-		// desynchronized and must not be reused. Old servers never echo, so
-		// an empty echo stays acceptable.
-		return nil, reused, true, fmt.Errorf("node: %s answered req_id %s with %s on a reused connection", p.addr, req.ReqID, echo)
+	if echo := resp.RequestID(); echo != req.ReqID {
+		// The connection handed us some other request's response, or a peer
+		// that does not echo the req_id header: either way it cannot be
+		// trusted to pair responses with requests and must not be reused.
+		return nil, reused, true, fmt.Errorf("node: %s answered req_id %s with %q", p.addr, req.ReqID, echo)
 	}
 	healthy = true
 	return resp, reused, true, nil
@@ -358,7 +349,7 @@ func (p *Pool) get(ctx context.Context) (net.Conn, bool, error) {
 func (p *Pool) takeIdle() net.Conn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	cutoff := time.Now().Add(-p.o.idleTimeout)
+	cutoff := time.Now().Add(-p.o.timeout / 2)
 	// Reap from the cold end.
 	for len(p.idle) > 0 && p.idle[0].idleSince.Before(cutoff) {
 		pc := p.idle[0]
@@ -426,12 +417,8 @@ func (p *Pool) noteFailure(err error) {
 	defer p.mu.Unlock()
 	p.fails++
 	p.lastErr = err
-	if p.fails >= p.o.failThreshold {
-		cool := p.o.cooldown << uint(min(p.fails-p.o.failThreshold, 10))
-		if cool > maxCooldown || cool <= 0 {
-			cool = maxCooldown
-		}
-		p.downUntil = time.Now().Add(cool)
+	if p.fails >= failThreshold {
+		p.downUntil = time.Now().Add(min(cooldown<<uint(min(p.fails-failThreshold, 10)), maxCooldown))
 	}
 }
 

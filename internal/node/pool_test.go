@@ -192,7 +192,7 @@ func TestRetryAfterServerDrain(t *testing.T) {
 	}
 	addr := srv.Addr()
 
-	c := NewResponderClient(addr, WithRetryBackoff(time.Millisecond))
+	c := NewResponderClient(addr)
 	defer c.Close()
 	if _, err := c.Query(context.Background(), "t", "x", core.Good); err != nil {
 		t.Fatalf("first query: %v", err)
@@ -240,22 +240,28 @@ func TestRetryAfterServerDrain(t *testing.T) {
 }
 
 // TestEndpointDownFastFail pins the health tracking: once an endpoint crosses
-// the failure threshold, callers get an immediate ErrEndpointDown instead of
-// burning a dial timeout each.
+// the failure threshold (three failed dials), callers get an immediate
+// ErrEndpointDown for the 2 s cooldown instead of burning a dial timeout
+// each.
 func TestEndpointDownFastFail(t *testing.T) {
-	p := NewPool("127.0.0.1:1", // nothing listening
-		WithRetries(0), WithFailThreshold(1), WithCooldown(time.Minute))
+	p := NewPool("127.0.0.1:1", WithRetries(0)) // nothing listening
 	defer p.Close()
 
-	if _, err := p.Exchange(context.Background(), wire.TypeQuery, struct{}{}); err == nil {
-		t.Fatal("dialing a dead endpoint must fail")
+	for i := 0; i < failThreshold; i++ {
+		_, err := p.Exchange(context.Background(), wire.TypeQuery, struct{}{})
+		if err == nil || errors.Is(err, ErrEndpointDown) {
+			t.Fatalf("dial %d of a dead endpoint = %v, want a dial error", i+1, err)
+		}
+	}
+	if st := p.Stats(); st.FastFails != 0 {
+		t.Fatalf("no fast-fail before the threshold: %+v", st)
 	}
 	start := time.Now()
 	_, err := p.Exchange(context.Background(), wire.TypeQuery, struct{}{})
 	if !errors.Is(err, ErrEndpointDown) {
 		t.Fatalf("second exchange = %v, want ErrEndpointDown", err)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
+	if elapsed := time.Since(start); elapsed > cooldown/2 {
 		t.Fatalf("fast-fail took %v", elapsed)
 	}
 	if st := p.Stats(); st.FastFails == 0 {
@@ -288,28 +294,27 @@ func TestRequestIDMismatchPoisonsConnection(t *testing.T) {
 	}
 }
 
-// TestOldServerWithoutRequestIDInteroperates answers without echoing the
-// request id, the way a pre-req_id peer does: the pooled client must accept
-// the response and keep reusing the connection.
-func TestOldServerWithoutRequestIDInteroperates(t *testing.T) {
+// TestServerWithoutRequestIDEchoFails answers without echoing the request
+// id. Frame version 2 refuses every peer older than the req_id header, so
+// only a broken peer omits the echo: the exchange must fail like a
+// mismatched echo, and the connection must not return to the pool.
+func TestServerWithoutRequestIDEchoFails(t *testing.T) {
 	addr := startWireServer(t, func(env *wire.Envelope) *wire.Envelope {
 		resp, _ := wire.NewEnvelope(wire.TypeAck, nil)
-		return resp // no ReqID: an old peer drops unknown headers
+		return resp // no ReqID
 	})
-	p := NewPool(addr)
+	p := NewPool(addr, WithRetries(0))
 	defer p.Close()
 
-	for i := 0; i < 3; i++ {
-		env, err := p.Exchange(context.Background(), wire.TypeGetParams, struct{}{})
-		if err != nil {
-			t.Fatalf("exchange %d against old peer: %v", i, err)
-		}
-		if env.Type != wire.TypeAck {
-			t.Fatalf("exchange %d answered %q", i, env.Type)
-		}
+	_, err := p.Exchange(context.Background(), wire.TypeGetParams, struct{}{})
+	if err == nil {
+		t.Fatal("a response without the req_id echo must fail the exchange")
 	}
-	if st := p.Stats(); st.Reuses != 2 {
-		t.Fatalf("old peers must still get connection reuse: %+v", st)
+	if !strings.Contains(err.Error(), "req_id") {
+		t.Fatalf("error must name the req_id echo: %v", err)
+	}
+	if st := p.Stats(); st.Idle != 0 || st.Open != 0 {
+		t.Fatalf("a connection without the echo must not be pooled: %+v", st)
 	}
 }
 

@@ -7,8 +7,7 @@ import (
 	"desword/internal/obs"
 )
 
-// DefaultProofCacheSize bounds the per-DPOC proof cache when
-// AggOptions.ProofCacheSize is left at zero.
+// DefaultProofCacheSize bounds every DPOC's proof cache, in entries.
 const DefaultProofCacheSize = 128
 
 // cacheEvictions counts proof-cache LRU removals across every DPOC in the
@@ -23,18 +22,6 @@ var cacheEvictions = sync.OnceValue(func() *obs.Counter {
 // stale: a committed decommitment tree never changes, so nothing needs
 // invalidating (DESIGN §10).
 type proofCache = lru[ProductID, *Proof]
-
-// newProofCache translates the AggOptions knob: 0 selects the default size,
-// negative disables caching entirely.
-func newProofCache(size int) *proofCache {
-	if size < 0 {
-		return nil
-	}
-	if size == 0 {
-		size = DefaultProofCacheSize
-	}
-	return newLRU[ProductID, *Proof](size, cacheEvictions())
-}
 
 // lru is a bounded single-flight LRU. The first caller for a key becomes the
 // leader and computes; concurrent followers park on the entry's ready

@@ -2,6 +2,7 @@ package poc
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,49 +93,36 @@ func TestProveCacheHit(t *testing.T) {
 	}
 }
 
-// TestProveCacheDisabled pins the AggOptions escape hatch: a negative cache
-// size recomputes on every call.
-func TestProveCacheDisabled(t *testing.T) {
-	ps := testPS(t)
-	_, dpoc, err := Agg(ps, "v1", sampleTraces("v1", 1), AggOptions{ProofCacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	computed := countProofs(dpoc)
-	for i := 0; i < 3; i++ {
-		if _, err := dpoc.Prove(context.Background(), "id-00"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := computed.Load(); got != 3 {
-		t.Errorf("computed %d proofs with cache disabled, want 3", got)
-	}
-}
-
-// TestProveCacheEviction pins the LRU bound: a size-1 cache holds one entry,
-// so alternating ids keep evicting and recomputing.
+// TestProveCacheEviction pins the LRU bound: DefaultProofCacheSize+1
+// distinct ids evict the least recently used one, so proving it again
+// recomputes it and evicts the next.
 func TestProveCacheEviction(t *testing.T) {
 	ps := testPS(t)
-	_, dpoc, err := Agg(ps, "v1", sampleTraces("v1", 2), AggOptions{ProofCacheSize: 1})
+	_, dpoc, err := Agg(ps, "v1", sampleTraces("v1", 2), AggOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	computed := countProofs(dpoc)
 	evictions0 := cacheEvictions().Value()
 
-	for _, id := range []ProductID{"id-00", "id-01", "id-00"} {
+	ids := make([]ProductID, 0, DefaultProofCacheSize+2)
+	for i := 0; i <= DefaultProofCacheSize; i++ {
+		ids = append(ids, ProductID(fmt.Sprintf("evict-%03d", i)))
+	}
+	ids = append(ids, ids[0]) // evicted by the last distinct id
+	for _, id := range ids {
 		if _, err := dpoc.Prove(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := computed.Load(); got != 3 {
-		t.Errorf("computed %d proofs, want 3 (size-1 cache thrashes)", got)
+	if got, want := computed.Load(), int64(len(ids)); got != want {
+		t.Errorf("computed %d proofs, want %d (the evicted id recomputes)", got, want)
 	}
 	if got := cacheEvictions().Value() - evictions0; got != 2 {
 		t.Errorf("eviction counter advanced by %d, want 2", got)
 	}
-	if got := dpoc.cache.len(); got != 1 {
-		t.Errorf("cache holds %d entries, want 1", got)
+	if got := dpoc.cache.len(); got != DefaultProofCacheSize {
+		t.Errorf("cache holds %d entries, want %d", got, DefaultProofCacheSize)
 	}
 }
 

@@ -92,16 +92,20 @@ func (p POC) Equal(o POC) bool {
 type DPOC struct {
 	Participant ParticipantID
 	dec         *zkedb.Decommitment
-	cache       *proofCache // nil when caching is disabled
+	cache       *proofCache
 
 	// proveHook, when set, runs once per underlying proof computation; tests
 	// use it to pin the single-flight guarantee.
 	proveHook func()
 }
 
-// newDPOC wires a DPOC with a proof cache of the given size knob.
-func newDPOC(participant ParticipantID, dec *zkedb.Decommitment, cacheSize int) *DPOC {
-	return &DPOC{Participant: participant, dec: dec, cache: newProofCache(cacheSize)}
+// newDPOC wires a DPOC with an empty DefaultProofCacheSize proof cache.
+func newDPOC(participant ParticipantID, dec *zkedb.Decommitment) *DPOC {
+	return &DPOC{
+		Participant: participant,
+		dec:         dec,
+		cache:       newLRU[ProductID, *Proof](DefaultProofCacheSize, cacheEvictions()),
+	}
 }
 
 // OpenDPOC reopens a DPOC whose decommitment tree lives in a durable node
@@ -110,14 +114,15 @@ func newDPOC(participant ParticipantID, dec *zkedb.Decommitment, cacheSize int) 
 // so reopening is O(1) in the tree size. The returned POC is recomputed
 // from the stored root and must equal the one the proxy already holds.
 // cacheNodes bounds the resident hydrated-node cache
-// (zkedb.CommitOptions.CacheNodes); proofCacheSize is the
-// AggOptions.ProofCacheSize knob.
-func OpenDPOC(ps *PublicParams, participant ParticipantID, kv store.KV, cacheNodes, proofCacheSize int) (POC, *DPOC, error) {
+// (zkedb.CommitOptions.CacheNodes). The proof cache starts empty, so the
+// first proof of each product is computed: a reopened DPOC proves as a
+// restarted participant does.
+func OpenDPOC(ps *PublicParams, participant ParticipantID, kv store.KV, cacheNodes int) (POC, *DPOC, error) {
 	dec, err := zkedb.OpenDecommitment(ps.CRS, kv, cacheNodes)
 	if err != nil {
 		return POC{}, nil, fmt.Errorf("poc: opening DPOC: %w", err)
 	}
-	dp := newDPOC(participant, dec, proofCacheSize)
+	dp := newDPOC(participant, dec)
 	return POC{Participant: participant, Com: dec.Commitment()}, dp, nil
 }
 
@@ -192,16 +197,12 @@ func (p *Proof) content() (*zkedb.Proof, error) {
 	return zk, nil
 }
 
-// AggOptions configures Agg. The zero value selects the defaults: a
-// GOMAXPROCS-wide commit worker pool and a DefaultProofCacheSize proof
-// cache.
+// AggOptions configures Agg. The zero value selects the defaults. Every
+// DPOC keeps a DefaultProofCacheSize proof cache.
 type AggOptions struct {
-	// Commit configures the ZK-EDB tree build (worker pool, seeded
-	// randomness).
+	// Commit configures the ZK-EDB tree build (seeded randomness, node
+	// store, resident-node bound).
 	Commit zkedb.CommitOptions
-	// ProofCacheSize bounds the DPOC's single-flight proof cache: 0 selects
-	// DefaultProofCacheSize, negative disables caching.
-	ProofCacheSize int
 }
 
 // Agg aggregates a participant's RFID-traces into its POC (the paper's
@@ -220,7 +221,7 @@ func Agg(ps *PublicParams, participant ParticipantID, traces []Trace, opts AggOp
 		return POC{}, nil, fmt.Errorf("poc: aggregating traces: %w", err)
 	}
 	return POC{Participant: participant, Com: com},
-		newDPOC(participant, dec, opts.ProofCacheSize), nil
+		newDPOC(participant, dec), nil
 }
 
 // Prove generates an ownership proof if the participant committed a trace
@@ -229,9 +230,9 @@ func Agg(ps *PublicParams, participant ParticipantID, traces []Trace, opts AggOp
 // Results are memoized in the DPOC's bounded single-flight cache: repeated
 // demands for a hot product return the cached proof without recomputing the
 // mercurial openings, and N concurrent calls for one id compute at most
-// once. Each call is one "poc.prove" stage, tagged cache=hit or cache=miss
-// when the cache is on; the "zkedb.prove" span nests below it only when the
-// proof was computed.
+// once. Each call is one "poc.prove" stage, tagged cache=hit or
+// cache=miss; the "zkedb.prove" span nests below it only when the proof was
+// computed.
 func (dp *DPOC) Prove(ctx context.Context, id ProductID) (*Proof, error) {
 	ctx, st := obs.StartStage(ctx, "poc.prove")
 	proof, err := dp.prove(ctx, st.Span(), id)
@@ -241,9 +242,6 @@ func (dp *DPOC) Prove(ctx context.Context, id ProductID) (*Proof, error) {
 
 // prove is Prove's body; span is its stage's span.
 func (dp *DPOC) prove(ctx context.Context, span *trace.Span, id ProductID) (*Proof, error) {
-	if dp.cache == nil {
-		return dp.computeProof(ctx, id)
-	}
 	for {
 		ent, leader := dp.cache.getOrLead(id)
 		if leader {

@@ -251,7 +251,7 @@ func TestDPOCPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	got, restored, err := OpenDPOC(ps, "v1", reopened, 0, 0)
+	got, restored, err := OpenDPOC(ps, "v1", reopened, 0)
 	if err != nil {
 		t.Fatalf("OpenDPOC: %v", err)
 	}
@@ -278,7 +278,7 @@ func TestDPOCPersistence(t *testing.T) {
 }
 
 func TestOpenDPOCRejectsEmptyStore(t *testing.T) {
-	if _, _, err := OpenDPOC(testPS(t), "x", store.NewMem(), 0, 0); !errors.Is(err, zkedb.ErrBadState) {
+	if _, _, err := OpenDPOC(testPS(t), "x", store.NewMem(), 0); !errors.Is(err, zkedb.ErrBadState) {
 		t.Fatalf("OpenDPOC on an empty store = %v, want ErrBadState", err)
 	}
 }

@@ -70,9 +70,6 @@ type SpanData struct {
 	Remote bool `json:"remote,omitempty"`
 }
 
-// DurationSeconds returns the span duration in seconds.
-func (d *SpanData) DurationSeconds() float64 { return d.End.Sub(d.Start).Seconds() }
-
 // collector accumulates the completed spans of one locally-rooted trace.
 type collector struct {
 	tracer *Tracer
@@ -197,14 +194,6 @@ type spanKey struct{}
 func FromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey{}).(*Span)
 	return s
-}
-
-// ContextWithSpan returns a context carrying the span.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
 }
 
 // Tracer creates spans and hands completed traces to its recorder. All

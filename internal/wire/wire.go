@@ -84,12 +84,13 @@ var (
 // fields are optional headers: requests carry the caller's trace context
 // (TraceID/SpanID) so the peer continues the same distributed trace, and
 // responses carry the server's completed span fragment (Spans) so the caller
-// can graft the remote timeline into its own trace. ReqID is an optional
+// can graft the remote timeline into its own trace. ReqID is the
 // request-correlation header: a client stamps one id per logical request
 // (kept stable across retries of that request), and a server echoes it on
 // the response so a client multiplexing requests over a pooled, reused
-// connection can detect a desynchronized peer. Old peers ignore the fields;
-// envelopes without them decode unchanged.
+// connection can detect a desynchronized peer; a response without the echo
+// fails its exchange. The trace headers are optional, and envelopes without
+// them decode unchanged.
 //
 // The frame's raw tail after the JSON is the envelope's attachment: only a
 // response fills it, with its proof's bytes (see NewEnvelope and Decode).

@@ -4,15 +4,24 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 )
 
+// withGOMAXPROCS runs fn with runtime.GOMAXPROCS set to n, which is the
+// width of Commit's worker pool, and restores the previous setting.
+func withGOMAXPROCS(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 // TestCommitParallelByteIdentical pins the contract that makes the worker
 // pool safe to ship: under a fixed seed, the commitment AND the full
-// node-store image are byte-for-byte identical at every worker count.
-// Position-keyed randomness (drbg.go) is what guarantees this — any code
-// change that makes a randomness draw depend on build order fails here.
+// node-store image are byte-for-byte identical at every GOMAXPROCS, so at
+// every pool width. Position-keyed randomness (drbg.go) is what guarantees
+// this — any code change that makes a randomness draw depend on build order
+// fails here.
 func TestCommitParallelByteIdentical(t *testing.T) {
 	crs := testCRS(t)
 	seed := []byte("parallel-commit-determinism-seed")
@@ -24,9 +33,14 @@ func TestCommitParallelByteIdentical(t *testing.T) {
 	}
 	builds := make(map[int]build)
 	for _, workers := range []int{1, 2, 8} {
-		com, dec, err := crs.Commit(db, CommitOptions{Workers: workers, Seed: seed})
+		var com Commitment
+		var dec *Decommitment
+		var err error
+		withGOMAXPROCS(workers, func() {
+			com, dec, err = crs.Commit(db, CommitOptions{Seed: seed})
+		})
 		if err != nil {
-			t.Fatalf("Commit(workers=%d): %v", workers, err)
+			t.Fatalf("Commit(GOMAXPROCS=%d): %v", workers, err)
 		}
 		builds[workers] = build{com: com, dec: storeImage(t, dec)}
 	}
@@ -35,15 +49,15 @@ func TestCommitParallelByteIdentical(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		got := builds[workers]
 		if !bytes.Equal(serial.com.Bytes(), got.com.Bytes()) {
-			t.Errorf("workers=%d: commitment differs from serial build", workers)
+			t.Errorf("GOMAXPROCS=%d: commitment differs from serial build", workers)
 		}
 		if !bytes.Equal(serial.dec, got.dec) {
-			t.Errorf("workers=%d: node-store image differs from serial build", workers)
+			t.Errorf("GOMAXPROCS=%d: node-store image differs from serial build", workers)
 		}
 	}
 
 	// The image comparison must be able to fail: another seed, another image.
-	_, other, err := crs.Commit(db, CommitOptions{Workers: 1, Seed: []byte("another-seed")})
+	_, other, err := crs.Commit(db, CommitOptions{Seed: []byte("another-seed")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +72,10 @@ func TestCommitParallelByteIdentical(t *testing.T) {
 // must produce a sound tree with fresh randomness too.
 func TestCommitParallelProofsVerify(t *testing.T) {
 	crs := testCRS(t)
-	com, dec, err := crs.Commit(testDB(5), CommitOptions{Workers: 8})
+	var com Commitment
+	var dec *Decommitment
+	var err error
+	withGOMAXPROCS(8, func() { com, dec, err = crs.Commit(testDB(5), CommitOptions{}) })
 	if err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
@@ -81,18 +98,20 @@ func TestCommitConcurrentBuilds(t *testing.T) {
 	db := testDB(4)
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, dec, err := crs.Commit(db, CommitOptions{Workers: 4})
-			if err == nil {
-				_, err = dec.Prove(context.Background(), "product-001")
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
+	withGOMAXPROCS(4, func() {
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_, dec, err := crs.Commit(db, CommitOptions{})
+				if err == nil {
+					_, err = dec.Prove(context.Background(), "product-001")
+				}
+				errs[i] = err
+			}(i)
+		}
+		wg.Wait()
+	})
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("concurrent build %d: %v", i, err)

@@ -336,13 +336,10 @@ type keyItem struct {
 }
 
 // CommitOptions configures Commit. The zero value selects the defaults:
-// one worker per CPU, fresh crypto/rand commitment randomness, an in-memory
-// node store, and an unbounded hydrated-node cache.
+// fresh crypto/rand commitment randomness, an in-memory node store, and an
+// unbounded hydrated-node cache. The build's worker pool is always
+// runtime.GOMAXPROCS(0) wide.
 type CommitOptions struct {
-	// Workers bounds the worker pool fanning the q-ary subtree build out
-	// across slots. 0 selects runtime.GOMAXPROCS(0); 1 forces the serial
-	// build.
-	Workers int
 	// Seed, when non-nil, derives every commitment's randomness from a
 	// deterministic generator keyed by (Seed, tree position) instead of
 	// crypto/rand, making the build reproducible bit for bit at any worker
@@ -364,14 +361,6 @@ type CommitOptions struct {
 	// for the in-memory backend); with a file store a bound keeps peak
 	// memory proportional to the working set instead of the tree.
 	CacheNodes int
-}
-
-// workerCount resolves the effective pool size.
-func (o CommitOptions) workerCount() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 // Commit commits to the database db (the paper's EDB-commit(D, σ) →
@@ -407,7 +396,7 @@ func (c *CRS) Commit(db map[string][]byte, opts CommitOptions) (Commitment, *Dec
 		}
 	}
 	b := &builder{crs: c, dec: dec, seed: opts.Seed}
-	if spare := opts.workerCount() - 1; spare > 0 {
+	if spare := runtime.GOMAXPROCS(0) - 1; spare > 0 {
 		b.sem = make(chan struct{}, spare)
 	}
 	root, err := b.build(0, nil, items)
